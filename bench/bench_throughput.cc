@@ -30,7 +30,6 @@
 #include "core/set_arrival.h"
 #include "core/trivial.h"
 #include "engine/engine.h"
-#include "engine/sharded.h"
 #include "offline/greedy.h"
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
@@ -188,9 +187,9 @@ BENCHMARK(BM_NGuessThreads)
                      // calling thread alone would fake a speedup
     ->MinTime(0.5);
 
-// The sharded execution mode across shard counts W: the full fan-out +
-// deterministic-protocol merge (engine/sharded.h) over the shared
-// in-memory stream. items/s is the *aggregate* ingest rate — on
+// engine::Execute across shard counts W: the full fan-out +
+// deterministic-protocol merge (RunConfig::backend.workers) over the
+// shared in-memory stream. items/s is the *aggregate* ingest rate — on
 // multi-core hosts it should scale near-linearly to W=4; on a
 // single-core host the rows stay flat and the num_cpus counter lets the
 // perf gate skip the cross-host comparison. Two acceptance checks run
@@ -201,15 +200,15 @@ void BM_ShardedIngest(benchmark::State& state) {
   const uint32_t shards = static_cast<uint32_t>(state.range(0));
   const EdgeStream& stream = SharedStream();
 
-  engine::ShardedRunConfig config;
-  config.base.algorithm = "kk";
-  config.base.options.seed = 3;
-  config.base.source = engine::SourceSpec::InMemory(stream);
-  config.shards = shards;
+  engine::RunConfig config;
+  config.algorithm = "kk";
+  config.options.seed = 3;
+  config.source = engine::SourceSpec::InMemory(stream);
+  config.backend.workers = shards;
 
   engine::RunReport report;
   for (auto _ : state) {
-    report = engine::ExecuteSharded(config);
+    report = engine::Execute(config);
     if (!report.error.empty()) {
       state.SkipWithError(report.error.c_str());
       break;
@@ -218,7 +217,9 @@ void BM_ShardedIngest(benchmark::State& state) {
   }
   if (report.completed) {
     if (shards == 1) {
-      const engine::RunReport reference = engine::Execute(config.base);
+      engine::RunConfig unsharded = config;
+      unsharded.backend = engine::BackendSpec{};
+      const engine::RunReport reference = engine::Execute(unsharded);
       if (report.solution.cover != reference.solution.cover ||
           report.solution.certificate != reference.solution.certificate) {
         state.SkipWithError("W=1 sharded run diverged from engine::Execute");
@@ -250,18 +251,16 @@ BENCHMARK(BM_ShardedIngest)
     ->UseRealTime()  // the shard workers carry the load
     ->MinTime(0.5);
 
-// The execution-substrate seam: the same RunConfig through each
-// registered backend (engine/backend.h) at representative worker
-// counts. The interesting deltas are the substrate overheads — thread
-// fan-out + merge for sharded, fork + shm-ring feeding + per-worker
-// reports for forked — over the identical pipeline work, since covers
-// are bit-identical across rows at equal W (backend_matrix_test pins
-// that; the in-bench check here re-asserts it against the inprocess
-// run at W = 1). Multi-worker rows only scale on multi-core hosts;
-// num_cpus lets the perf gate annotate-and-skip cross-host
-// comparisons.
+// The same RunConfig under each BackendSpec::name at representative
+// worker counts. At W = 1 "sharded" runs the inprocess code, so those
+// rows must match; the W = 4 row measures thread fan-out + merge over
+// the identical pipeline work, since covers are bit-identical across
+// rows at equal W (backend_matrix_test pins that; the in-bench check
+// here re-asserts it against the inprocess run at W = 1). Multi-worker
+// rows only scale on multi-core hosts; num_cpus lets the perf gate
+// annotate-and-skip cross-host comparisons.
 void BM_BackendIngest(benchmark::State& state) {
-  static const char* const kBackends[] = {"inprocess", "sharded", "forked"};
+  static const char* const kBackends[] = {"inprocess", "sharded"};
   const std::string backend = kBackends[state.range(0)];
   const uint32_t workers = static_cast<uint32_t>(state.range(1));
   const EdgeStream& stream = SharedStream();
@@ -303,12 +302,10 @@ void BM_BackendIngest(benchmark::State& state) {
 
 BENCHMARK(BM_BackendIngest)
     ->Args({0, 1})  // inprocess
-    ->Args({1, 1})  // sharded W=1 (substrate overhead at parity)
+    ->Args({1, 1})  // sharded W=1: the inprocess code, so the same rate
     ->Args({1, 4})
-    ->Args({2, 1})  // forked W=1 (fork + ring feeding overhead)
-    ->Args({2, 4})
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()  // workers (threads or processes) carry the load
+    ->UseRealTime()  // the worker threads carry the load
     ->MinTime(0.5);
 
 // ---- Offline-kernel rows: the bucket-queue greedy vs the lazy-heap

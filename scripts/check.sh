@@ -36,8 +36,7 @@
 # core/instance/algorithm layers), raw shared-memory plumbing
 # (memfd_create / SCM_RIGHTS fd passing) stays confined to
 # src/util/shm_ring.* and src/server/transport.*, and process control
-# (fork / waitpid / execve) stays confined to the forked execution
-# backend (src/engine/backends/forked.*).
+# (fork / waitpid / execve) appears nowhere: every run is in-process.
 #
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
@@ -50,9 +49,6 @@ echo "== layering guard: ProcessEdgeBatch callers outside src/engine/ =="
 GUARD_ALLOW=(
   src/engine/engine.cc
   src/engine/session.cc
-  src/engine/backends/inprocess.cc
-  src/engine/backends/sharded.cc
-  src/engine/backends/forked.cc
   src/core/streaming_algorithm.h
   src/core/streaming_algorithm.cc
   src/core/multi_run.cc
@@ -107,7 +103,8 @@ PROTO_HITS=$(grep -rnE 'RunDeterministicProtocol\(' src/ tools/ examples/ \
 if [[ -n "$PROTO_HITS" ]]; then
   echo "$PROTO_HITS"
   echo "layering guard: RunDeterministicProtocol called outside src/engine/;"
-  echo "merge per-shard covers via engine::ExecuteSharded (see docs/architecture.md)"
+  echo "merge per-shard covers via engine::Execute with backend.workers"
+  echo "(see docs/architecture.md)"
   exit 1
 fi
 # Raw shared-memory plumbing (memfd creation, fd passing over sockets)
@@ -126,17 +123,15 @@ if [[ -n "$SHM_HITS" ]]; then
   echo "and src/server/transport.*; use ShmRing / ConnectShm instead"
   exit 1
 fi
-# Process control is the forked execution backend's business and nobody
-# else's: one reviewed file owns the fork/exec/reap lifecycle (child
-# hygiene, worker reaping, partial-failure reporting), so every
-# multi-process run inherits its crash semantics instead of growing a
-# second, subtly different fork site.
+# Process control has no owner: W workers are threads of one process
+# (engine::Execute), so a fork/exec/reap lifecycle with its own crash
+# semantics must not creep back in.
 FORK_HITS=$(grep -rnE '\b(fork|waitpid|execve)\s*\(' src/ tools/ examples/ \
-  --exclude=forked.h --exclude=forked.cc || true)
+  || true)
 if [[ -n "$FORK_HITS" ]]; then
   echo "$FORK_HITS"
-  echo "layering guard: fork/waitpid/execve outside src/engine/backends/forked.*;"
-  echo "run multi-process work through the forked backend (--backend=forked)"
+  echo "layering guard: fork/waitpid/execve in src/ tools/ examples/;"
+  echo "fan work out over engine::Execute worker threads (backend.workers)"
   exit 1
 fi
 echo "layering guard: clean"
@@ -310,10 +305,8 @@ EOF
   # aggregate-checkpoint resume, with ASan watching the merge's
   # candidate remapping.
   build-asan/tests/sharded_engine_test
-  # The execution-substrate matrix — cross-backend bit-identity, the
-  # forked backend's fork/ring/reap lifecycle, and kill-one-worker
-  # resume — with ASan watching both sides of every shm ring and the
-  # post-fork child paths.
+  # The backend-name matrix — W = 1 bit-identity across names, sidecar
+  # bytes, schedules, and the ShardedSession merge — under ASan.
   build-asan/tests/backend_matrix_test
   build-asan/tests/batch_equivalence_test
   build-asan/tests/stream_format_test

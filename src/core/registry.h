@@ -36,9 +36,9 @@ struct AlgorithmInfo {
   std::string space_class;  // e.g. "O~(m)" — Table 1's space column
   std::string approx_class; // e.g. "O~(sqrt n)" — Table 1's ratio column
   std::vector<std::string> supported_orders;
-  /// The algorithm can serve as the per-shard worker of the sharded
-  /// execution mode (engine/sharded.h): W independent instances each
-  /// consume the set-partitioned slice of the stream and their covers
+  /// The algorithm can serve as the per-shard worker of a W > 1
+  /// engine::Execute run (RunConfig::backend): W independent instances
+  /// each consume the set-partitioned slice of the stream and their covers
   /// merge through the deterministic t-party protocol. Requires a
   /// single-run algorithm (no nested multi-run parallelism) whose
   /// per-shard space stays sublinear in the slice — the two trivial
@@ -90,8 +90,8 @@ std::vector<std::string> ShardableAlgorithmNames();
 /// Ready-to-print diagnostic for requesting shards with an algorithm
 /// whose metadata is not shardable: says why it was refused and lists
 /// the shardable names (plus a "did you mean" when the typed name is
-/// close to a shardable one). Shared by the CLI and
-/// engine::ExecuteSharded. Assumes `name` is registered — unknown names
+/// close to a shardable one). Shared by the CLI and engine::Execute.
+/// Assumes `name` is registered — unknown names
 /// get UnknownAlgorithmError instead.
 std::string NotShardableError(const std::string& name);
 

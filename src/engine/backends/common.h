@@ -9,8 +9,8 @@ namespace setcover {
 namespace engine {
 namespace internal {
 
-/// Small helpers shared by every execution backend (and by the Drive
-/// loop itself). Internal to src/engine/ — not API.
+/// Small helpers shared by Execute(), the Drive loop, and the shard
+/// machinery. Internal to src/engine/ — not API.
 
 using Clock = std::chrono::steady_clock;
 
@@ -43,21 +43,6 @@ inline void FinalizeRun(RunReport* report,
   report->uncovered_elements = CountUncovered(report->solution);
   report->completed = true;
   StampMeter(report, algorithm);
-}
-
-/// The config-level source sanity check, shared verbatim so every
-/// backend rejects a malformed SourceSpec with the same message.
-/// Returns false with *error set when exactly-one-of is violated.
-inline bool ValidateSourceSpec(const SourceSpec& source, std::string* error) {
-  if ((source.stream != nullptr) == !source.path.empty()) {
-    *error = source.stream == nullptr
-                 ? "run config has no source (set SourceSpec::stream "
-                   "or SourceSpec::path)"
-                 : "run config sets both an in-memory stream and a "
-                   "file path; pick one";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace internal

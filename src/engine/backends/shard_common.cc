@@ -6,47 +6,12 @@
 
 #include "comm/deterministic_protocol.h"
 #include "comm/protocol.h"
-#include "core/registry.h"
 #include "engine/backends/common.h"
 #include "util/math.h"
 
 namespace setcover {
 namespace engine {
 namespace internal {
-
-bool ValidateShardedBase(const RunConfig& base, uint32_t shards,
-                         std::string* error) {
-  if (shards == 0) {
-    *error = "sharded run needs shards >= 1";
-    return false;
-  }
-  if (base.algorithm_instance != nullptr) {
-    *error =
-        "sharded runs drive one algorithm instance per shard; pass a "
-        "registry algorithm name instead of algorithm_instance";
-    return false;
-  }
-  const AlgorithmInfo* info = FindAlgorithm(base.algorithm);
-  if (info == nullptr) {
-    *error = UnknownAlgorithmError(base.algorithm);
-    return false;
-  }
-  if (!info->shardable) {
-    *error = NotShardableError(base.algorithm);
-    return false;
-  }
-  if (!ValidateSourceSpec(base.source, error)) return false;
-  if (!base.source.schedule.Validate(error)) return false;
-  const bool checkpointing =
-      !base.checkpoint.path.empty() && base.checkpoint.every > 0;
-  if (base.source.schedule.window > 0 &&
-      (checkpointing || base.checkpoint.resume)) {
-    *error = "windowed schedules are not checkpointable (the window "
-             "contents are not position-addressable)";
-    return false;
-  }
-  return true;
-}
 
 bool LoadResumeSlots(const std::string& path, uint32_t shards,
                      const std::string& partitioner_name,
@@ -92,8 +57,7 @@ bool AggregateCheckpointWriter::Store(uint32_t shard,
                                       std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (aggregate_.shards == 1) {
-    // One-worker runs keep the plain single-run sidecar format so any
-    // backend at W = 1 is byte-identical to the inprocess pipeline.
+    // One-worker runs keep the plain single-run sidecar format.
     return SaveCheckpoint(checkpoint, path_, error);
   }
   aggregate_.shard_states[shard] = checkpoint;
@@ -179,8 +143,7 @@ void AggregateShardReports(RunReport* report,
                            uint32_t shards, uint32_t merge_threshold) {
   if (shards == 1) {
     // Single-shard runs skip the merge entirely: shard 0's report *is*
-    // the run, bit-identical to the inprocess pipeline on the same
-    // config.
+    // the run.
     const double setup_seconds = report->stages.setup_seconds;
     *report = std::move(shard_reports[0]);
     report->stages.setup_seconds += setup_seconds;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/backend.h"
 #include "engine/engine.h"
 #include "run/checkpoint.h"
 #include "stream/edge_source.h"
@@ -16,16 +15,20 @@ namespace setcover {
 namespace engine {
 namespace internal {
 
-/// Machinery shared by the set-partitioned backends (sharded threads,
-/// forked processes): the partitioner hot-loop dispatch, the per-shard
-/// stream filter, the aggregate checkpoint sidecar, and the
-/// deterministic-protocol cover merge. Internal to src/engine/.
+/// Machinery of the W set-partitioned pipelines that Execute() runs and
+/// that ShardedSession pushes into: the partitioner hot-loop dispatch,
+/// the per-shard stream filter, the aggregate checkpoint sidecar, and
+/// the deterministic-protocol cover merge. Internal to src/engine/.
 
 using CheckpointSink = std::function<bool(const Checkpoint&, std::string*)>;
 
-// Owner functors for the hot compaction loops: the set-modulo default
-// compiles to a mask (power-of-two W) or one integer modulo per edge;
-// only custom partitioners pay a std::function call.
+// Owner functors for the hot compaction loops: W = 1 owns everything
+// (the fast loops then skip compaction altogether), the set-modulo
+// default compiles to a mask (power-of-two W) or one integer modulo per
+// edge; only custom partitioners pay a std::function call.
+struct KeepAll {
+  uint32_t operator()(SetId) const { return 0; }
+};
 struct MaskOwner {
   uint32_t mask;
   uint32_t operator()(SetId s) const { return s & mask; }
@@ -43,7 +46,9 @@ struct FnOwner {
 template <typename Fn>
 void WithOwner(const ShardPartitioner& partitioner, uint32_t shards,
                Fn&& fn) {
-  if (!partitioner.index) {
+  if (shards == 1) {
+    fn(KeepAll{});
+  } else if (!partitioner.index) {
     if ((shards & (shards - 1)) == 0) {
       fn(MaskOwner{shards - 1});
     } else {
@@ -101,18 +106,9 @@ class ShardFilterSource : public EdgeSource {
   const ShardPartitioner& partitioner_;
 };
 
-/// The config checks every set-partitioned backend performs before
-/// fanning out: W >= 1, a shardable registry algorithm name (never an
-/// instance), a well-formed source, a valid schedule. False with
-/// *error carrying the exact legacy diagnostics.
-bool ValidateShardedBase(const RunConfig& base, uint32_t shards,
-                         std::string* error);
-
 /// Loads the resume slots for a W-way run from `path`. W == 1 reads a
-/// plain single-run SCKP sidecar (so one-worker runs of any backend are
-/// byte-identical to the inprocess pipeline, sidecar included); W > 1
-/// reads the aggregate SCSH format and refuses a shard-count or
-/// partitioner mismatch.
+/// plain single-run SCKP sidecar; W > 1 reads the aggregate SCSH format
+/// and refuses a shard-count or partitioner mismatch.
 bool LoadResumeSlots(const std::string& path, uint32_t shards,
                      const std::string& partitioner_name,
                      std::vector<std::optional<Checkpoint>>* slots,
@@ -162,9 +158,8 @@ CertificateMerge MergeCertificates(
 
 /// Folds W completed shard reports into `report`: counter sums, stage
 /// maxima, per-shard stats, then the certificate merge. At W == 1 the
-/// single shard report *is* the run (merge skipped, bit-identical to
-/// the inprocess pipeline); `report` enters with setup_seconds stamped
-/// and keeps it.
+/// single shard report *is* the run (merge skipped); `report` enters
+/// with setup_seconds stamped and keeps it.
 void AggregateShardReports(RunReport* report,
                            std::vector<RunReport>& shard_reports,
                            uint32_t shards, uint32_t merge_threshold);

@@ -9,7 +9,6 @@
 
 #include "core/registry.h"
 #include "core/streaming_algorithm.h"
-#include "engine/backend.h"
 #include "instance/validator.h"
 #include "run/checkpoint.h"
 #include "stream/edge_source.h"
@@ -24,24 +23,27 @@ namespace engine {
 /// The execution engine: every way this repository drives an edge
 /// stream through a streaming algorithm goes through here. A run is
 /// described declaratively by a RunConfig — algorithm, source, fault
-/// injection, checkpointing, batching, validation — and Execute()
-/// assembles the pipeline
+/// injection, checkpointing, batching, validation, worker count — and
+/// Execute() assembles W >= 1 set-partitioned pipelines
 ///
-///   source -> fault injector -> batcher -> algorithm -> finalize
-///          -> validate
+///   source -> schedule -> fault injector -> shard filter -> batcher
+///          -> algorithm -> finalize
 ///
-/// returning one unified RunReport. RunSupervisor, BestOfRuns, the
-/// bench harnesses, RunStreamFromFile, and the CLI are all thin clients
-/// of this seam (docs/architecture.md has the layer diagram); the only
+/// merges their covers through the paper's §3 deterministic t-party
+/// protocol when W > 1, validates, and returns one unified RunReport.
+/// At W = 1 there is no filter, no thread pool and no merge: the one
+/// pipeline runs on the calling thread. BestOfRuns, the bench
+/// harnesses, RunStreamFromFile, and the CLI are all thin clients of
+/// this seam (docs/architecture.md has the layer diagram); the only
 /// drive loop outside src/engine/ is the header-inline RunStream in
 /// core/streaming_algorithm.h, kept as the reference primitive that
 /// tests/engine_equivalence_test.cc pins the engine against.
 ///
 /// Equivalence contract: for the same (algorithm, seed, edges), every
 /// engine path produces bit-identical covers, certificates, meter
-/// readings, and checkpoint bytes to the legacy RunStream /
-/// RunSupervisor / RunStreamFromFile loops it replaced — enforced by
-/// tests/engine_equivalence_test.cc for every registered algorithm.
+/// readings, and checkpoint bytes to the RunStream reference loop —
+/// enforced by tests/engine_equivalence_test.cc for every registered
+/// algorithm.
 
 /// Where a run's edges come from. Exactly one of `stream` (an in-memory
 /// materialized stream) or `path` (a binary stream file, format v1/v2/
@@ -99,11 +101,9 @@ struct StageStats {
   uint64_t batches = 0;           // ProcessEdgeBatch calls issued
 };
 
-/// Everything a caller learns from an engine run — a superset of the
-/// old run/run_supervisor.h report (same field names, so supervised-run
-/// clients read it unchanged) extended with per-stage observability,
-/// the resolved algorithm identity, meter totals, and the validation
-/// verdict.
+/// Everything a caller learns from an engine run: supervision counters,
+/// per-stage observability, the resolved algorithm identity, meter
+/// totals, per-shard accounting, and the validation verdict.
 struct RunReport {
   /// Valid only when `completed`.
   CoverSolution solution;
@@ -146,8 +146,10 @@ struct RunReport {
   /// Per-stage counters and timings.
   StageStats stages;
 
-  /// Sharded-mode accounting (ExecuteSharded / shards > 1); shards == 0
-  /// means the run was unsharded and the struct is untouched.
+  /// Per-shard accounting of an Execute() run: `shards` is its worker
+  /// count W (1 for a single pipeline). The merge fields stay zero at
+  /// W = 1, where no merge runs. Drive() and a plain Session leave the
+  /// struct untouched (shards == 0).
   struct ShardStats {
     uint32_t shards = 0;
 
@@ -184,8 +186,7 @@ struct RunReport {
   ValidationResult validation;
 };
 
-/// Knobs of the supervised drive loop (the old SupervisorOptions, now
-/// owned by the engine; run/run_supervisor.h aliases this type).
+/// Knobs of the supervised drive loop.
 struct DriveOptions {
   /// Sidecar checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
@@ -199,14 +200,14 @@ struct DriveOptions {
   bool resume = false;
 
   /// Resume from this already-loaded checkpoint instead of reading
-  /// `checkpoint_path` (which may then be empty). The sharded runner
-  /// uses this to hand each shard its slot out of the aggregate "SCSH"
-  /// file. Not owned; must outlive the call. Implies `resume`.
+  /// `checkpoint_path` (which may then be empty). Execute() uses this
+  /// to hand each shard its slot out of the aggregate "SCSH" file. Not
+  /// owned; must outlive the call. Implies `resume`.
   const Checkpoint* resume_from = nullptr;
 
   /// When set, replaces SaveCheckpoint as the destination of periodic
-  /// checkpoints — the sharded runner installs a sink that folds the
-  /// shard's snapshot into the aggregate file. Return false (with
+  /// checkpoints — Execute() installs a sink that folds the shard's
+  /// snapshot into the aggregate file. Return false (with
   /// *error) to fail the run like a checkpoint write failure.
   std::function<bool(const Checkpoint&, std::string*)> checkpoint_sink;
 
@@ -234,9 +235,46 @@ struct DriveOptions {
 /// checkpoints, crash resume with bit-identical continuation, bounded
 /// retries on transient faults, skip-and-count on corrupt records, and
 /// graceful degradation to a certified partial cover when the stream
-/// cannot be fully consumed. RunSupervisor::Run is an alias for this.
+/// cannot be fully consumed.
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source);
+
+/// The partitioner seam: maps a set id to its owning shard in [0, W).
+/// Must be a pure function — it runs in every shard's hot loop and its
+/// verdicts must agree across shards and across resume. The name is
+/// recorded in sharded checkpoints; resuming under a different
+/// partitioner is refused.
+struct ShardPartitioner {
+  std::string name = "set-mod";
+  /// nullptr means the built-in set-modulo rule (set_id % shards),
+  /// which the hot paths inline (bit-mask for power-of-two W) instead
+  /// of paying a std::function call per edge.
+  std::function<uint32_t(SetId, uint32_t shards)> index;
+};
+
+/// The default partitioner, spelled out.
+inline ShardPartitioner SetModuloPartitioner() { return ShardPartitioner{}; }
+
+/// How many set-partitioned pipelines a RunConfig runs on, and how they
+/// fan out and merge.
+struct BackendSpec {
+  /// "" or "sharded": W = max(1, workers) pipelines. "inprocess": one
+  /// pipeline, whatever `workers` says. Any other name is refused.
+  std::string name;
+
+  /// Worker fan-out W; 0 and 1 both run the single pipeline.
+  uint32_t workers = 0;
+
+  /// Set-id partitioner of a W > 1 run.
+  ShardPartitioner partitioner = SetModuloPartitioner();
+
+  /// Thread-pool width of a W > 1 run; 0 = one thread per shard.
+  /// Results are bit-identical at any value.
+  size_t threads = 0;
+
+  /// Merge threshold τ override; 0 = the protocol's √(n·W) default.
+  uint32_t merge_threshold = 0;
+};
 
 /// One declarative run description, consumed by Execute().
 struct RunConfig {
@@ -249,7 +287,8 @@ struct RunConfig {
   /// Pre-built algorithm to drive instead of a registry name — for
   /// callers that need non-registry parameterizations (bench rows) or
   /// want to inspect the object afterwards. Not owned; must outlive the
-  /// call.
+  /// call. Single-pipeline runs only: W > 1 needs one instance per
+  /// shard, so it takes a registry name.
   StreamingSetCoverAlgorithm* algorithm_instance = nullptr;
 
   /// Where the edges come from.
@@ -277,28 +316,24 @@ struct RunConfig {
   /// in RunReport::validation.
   const SetCoverInstance* validate = nullptr;
 
-  /// Shard fan-out: 0 or 1 runs the single pipeline above; W > 1
-  /// dispatches to the sharded backend (engine/sharded.h) with W
-  /// set-modulo shards — W worker pipelines merged through the
-  /// deterministic t-party protocol. Requires a shardable registry
-  /// `algorithm` name (not `algorithm_instance`). Kept for
-  /// compatibility; `backend.workers` is the spelled-out form.
-  uint32_t shards = 0;
-
-  /// Which execution substrate runs this config (engine/backend.h).
-  /// An empty `backend.name` auto-selects: sharded when the run asks
-  /// for more than one worker, inprocess otherwise — unless the
-  /// SETCOVER_BACKEND environment variable forces an eligible run onto
-  /// a named substrate (the ctest backend-matrix hook).
+  /// Worker fan-out. W > 1 splits the stream by set id into W slices,
+  /// runs one pipeline per slice on the thread pool — shard w seeded
+  /// `options.seed + w`, so W = 1 reproduces the base seed — and merges
+  /// the W covers through the deterministic t-party protocol (paper §3)
+  /// at τ = √(n·W). W > 1 needs a shardable registry `algorithm`.
+  /// Checkpointing then writes ONE aggregate "SCSH" sidecar
+  /// (run/checkpoint.h) that resumes bit-identical at the same W.
   BackendSpec backend;
 };
 
-/// Assembles the pipeline described by `config`, runs it, and returns
-/// the unified report. Unsupervised configurations (no faults, no
-/// checkpointing, no kill switch, default batch size) take a zero-copy
-/// fast path — span-sliced batches for in-memory streams, chunk-aligned
-/// reader batches for files — that is bit-identical to the supervised
-/// loop; supervised configurations run under Drive().
+/// Assembles the W pipelines described by `config`, runs them, merges,
+/// and returns the unified report. Unsupervised configurations (no
+/// faults, no checkpointing, no kill switch, default batch size,
+/// trivial schedule) take the zero-copy fast loops — span-sliced
+/// batches for in-memory streams, chunk-aligned reader batches for
+/// files; a shard of a W > 1 run compacts its slice out of the same
+/// walk — which are bit-identical to the supervised loop; supervised
+/// configurations run each shard under Drive().
 RunReport Execute(const RunConfig& config);
 
 }  // namespace engine

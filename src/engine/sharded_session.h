@@ -7,16 +7,16 @@
 #include <string>
 #include <vector>
 
-#include "engine/backend.h"
+#include "engine/engine.h"
 #include "engine/session.h"
 
 namespace setcover {
 namespace engine {
 
-/// Push-style counterpart of the sharded backend: W set-partitioned
-/// sub-Sessions behind one SessionHandle, so the session server can run
-/// a W-worker pipeline without the client knowing anything but
-/// OpenBody::workers.
+/// Push-style counterpart of a W-worker engine::Execute run: W
+/// set-partitioned sub-Sessions behind one SessionHandle, so the
+/// session server can run a W-worker pipeline without the client
+/// knowing anything but OpenBody::workers.
 ///
 /// Each ingest batch is sliced by the set-id partitioner and every
 /// sub-session receives its slice under the SAME client sequence
@@ -29,10 +29,10 @@ namespace engine {
 /// replay as idempotent duplicates.
 ///
 /// Finalize merges the W local covers through the same deterministic
-/// t-party protocol as the pull-side backends
+/// t-party protocol as the pull-side runner
 /// (internal::MergeCertificates), so a sharded session's cover and
-/// certificate are bit-identical to ExecuteSharded / --backend=forked
-/// over the concatenated stream at the same W and seed.
+/// certificate are bit-identical to engine::Execute with
+/// backend.workers = W over the concatenated stream at the same seed.
 ///
 /// Fault schedules are rejected: sub-session positions are slice-local
 /// coordinates, not stream positions, so (seed, position) fault
@@ -48,7 +48,7 @@ struct ShardedSessionConfig {
   /// the handle, bit-identical sidecar included.
   uint32_t workers = 1;
 
-  /// Set-id partitioner shared with the pull-side backends.
+  /// Set-id partitioner shared with the pull-side runner.
   ShardPartitioner partitioner;
 
   /// Merge threshold τ override (0 = √(n·W)).

@@ -257,19 +257,4 @@ std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
   return checkpoint;
 }
 
-void EncodeCheckpointBody(const Checkpoint& checkpoint,
-                          std::vector<uint8_t>* out) {
-  AppendCheckpointBody(out, checkpoint);
-}
-
-bool DecodeCheckpointBody(const uint8_t* data, size_t size, Checkpoint* out,
-                          std::string* error) {
-  ByteReader in{data, size};
-  if (!ParseCheckpointBody(&in, kVersion, out) || in.pos != size) {
-    if (error != nullptr) *error = "malformed checkpoint body";
-    return false;
-  }
-  return true;
-}
-
 }  // namespace setcover

@@ -71,10 +71,11 @@ bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
 std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
                                          std::string* error);
 
-/// One recoverable snapshot of a *sharded* run (engine/sharded.h): the
-/// W per-shard cursors + algorithm states aggregated into a single
-/// file, so kill-and-resume of a W-way run needs exactly one sidecar —
-/// same contract as the single-run Checkpoint, W slots wide.
+/// One recoverable snapshot of a *sharded* run (engine::Execute with
+/// backend.workers = W > 1): the W per-shard cursors + algorithm states
+/// aggregated into a single file, so kill-and-resume of a W-way run
+/// needs exactly one sidecar — same contract as the single-run
+/// Checkpoint, W slots wide.
 ///
 /// Slots are independent: a shard that never reached its checkpoint
 /// cadence before the crash has no entry (`shard_states[w] ==
@@ -109,20 +110,6 @@ bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
 
 std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
     const std::string& path, std::string* error);
-
-/// Serializes just the checkpoint *body* (the byte layout between the
-/// single-run header and CRC — name through state words) without file
-/// framing. This is the unit SCSH slots embed and the forked execution
-/// backend ships over its result ring: a worker process encodes its
-/// snapshot once and the parent folds the identical bytes into the
-/// aggregate sidecar.
-void EncodeCheckpointBody(const Checkpoint& checkpoint,
-                          std::vector<uint8_t>* out);
-
-/// Parses a body produced by EncodeCheckpointBody. The body must span
-/// exactly [data, data + size); trailing bytes are rejected.
-bool DecodeCheckpointBody(const uint8_t* data, size_t size, Checkpoint* out,
-                          std::string* error);
 
 }  // namespace setcover
 

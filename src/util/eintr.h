@@ -7,12 +7,12 @@ namespace setcover {
 
 // Retries a syscall expression while it fails with EINTR.
 //
-// The server's transport loops run in processes that field signals: the
-// forked execution backend delivers SIGCHLD to the parent whenever a
-// worker exits, and operators send SIGTERM for graceful drain. Any
-// blocking read/write/accept in flight when a signal lands returns -1
-// with errno == EINTR; without a retry wrapper that surfaces as a
-// spurious transport error and tears down a healthy connection.
+// The server's transport loops run in processes that field signals:
+// operators send SIGTERM for graceful drain, and an embedding process
+// may install handlers of its own. Any blocking read/write/accept in
+// flight when a signal lands returns -1 with errno == EINTR; without a
+// retry wrapper that surfaces as a spurious transport error and tears
+// down a healthy connection.
 //
 // Usage:
 //   ssize_t n = RetryEintr([&] { return ::read(fd, buf, len); });

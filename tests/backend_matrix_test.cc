@@ -1,16 +1,11 @@
-// Cross-backend equivalence — the acceptance bar for the engine's
-// execution-substrate seam (engine/backend.h). For every shardable
-// algorithm: (a) {inprocess, sharded, forked} produce bit-identical
-// covers, certificates, and counters at W = 1; (b) sharded and forked
-// agree exactly at W = 3, merge accounting included; (c) the
-// checkpoint sidecars the substrates write mid-run are byte-identical
-// files, W = 1 (plain SCKP) and W = 3 (SCSH) both; (d) killing one
-// forked worker *process* mid-stream surfaces as a dead-worker error
-// whose aggregate checkpoint resumes to the unkilled run's exact
-// result. Plus: stream schedules (multi-pass and sliding-window) as
-// composable source backends across substrates, the ShardedSession
-// push-side counterpart, backend dispatch and registry, and the
-// windowed-schedule checkpoint rejection.
+// Cross-name equivalence for RunConfig::backend. For every shardable
+// algorithm: (a) "inprocess" and "sharded" produce bit-identical
+// covers, certificates, and counters at W = 1; (b) the checkpoint
+// sidecars they write mid-run are byte-identical files at W = 1 (plain
+// SCKP), and a W = 3 run writes an SCSH sidecar. Plus: stream
+// schedules (multi-pass and sliding-window) as composable sources at
+// any name, the ShardedSession push-side counterpart, name dispatch,
+// and the windowed-schedule checkpoint rejection.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
-#include "engine/backend.h"
 #include "engine/engine.h"
 #include "engine/sharded_session.h"
 #include "instance/generators.h"
@@ -93,15 +87,15 @@ std::string FileBytes(const std::string& path) {
 
 class BackendSweep : public testing::TestWithParam<std::string> {};
 
-// (a) W = 1: all three substrates are the same run — covers,
-// certificates, counters, meter readings, batch counts.
+// (a) W = 1: both names are the same run — covers, certificates,
+// counters, meter readings, batch counts.
 TEST_P(BackendSweep, BackendsBitIdenticalAtOneWorker) {
   Fixture fixture = MakePlantedFixture(401);
   engine::RunReport expected =
       engine::Execute(BaseConfig(GetParam(), fixture.stream, "inprocess", 0));
   ASSERT_TRUE(expected.completed) << expected.error;
 
-  for (const std::string backend : {"sharded", "forked"}) {
+  for (const std::string backend : {"sharded"}) {
     const std::string context = GetParam() + " backend=" + backend;
     engine::RunReport report = engine::Execute(
         BaseConfig(GetParam(), fixture.stream, backend, 1));
@@ -115,44 +109,13 @@ TEST_P(BackendSweep, BackendsBitIdenticalAtOneWorker) {
   }
 }
 
-// (b) W = 3: the two multi-worker substrates must agree exactly —
-// solution, per-shard accounting, and the deterministic merge's
-// message-size bookkeeping. A forked worker process and a sharded
-// worker thread are the same pipeline behind different isolation.
-TEST_P(BackendSweep, ShardedAndForkedAgreeAtThreeWorkers) {
-  Fixture fixture = MakePlantedFixture(411);
-  engine::RunConfig sharded =
-      BaseConfig(GetParam(), fixture.stream, "sharded", 3);
-  sharded.validate = &fixture.instance;
-  engine::RunConfig forked =
-      BaseConfig(GetParam(), fixture.stream, "forked", 3);
-  forked.validate = &fixture.instance;
-
-  engine::RunReport a = engine::Execute(sharded);
-  engine::RunReport b = engine::Execute(forked);
-  ASSERT_TRUE(a.completed) << a.error;
-  ASSERT_TRUE(b.completed) << GetParam() << ": " << b.error;
-  ExpectSameSolution(b, a, GetParam());
-  EXPECT_TRUE(b.validation.ok) << b.validation.error;
-  EXPECT_EQ(b.peak_words, a.peak_words) << GetParam();
-  EXPECT_EQ(b.sharded.shards, a.sharded.shards) << GetParam();
-  EXPECT_EQ(b.sharded.shard_edges, a.sharded.shard_edges) << GetParam();
-  EXPECT_EQ(b.sharded.shard_cover_sizes, a.sharded.shard_cover_sizes)
-      << GetParam();
-  EXPECT_EQ(b.sharded.max_message_words, a.sharded.max_message_words)
-      << GetParam();
-  EXPECT_EQ(b.sharded.threshold_sets, a.sharded.threshold_sets)
-      << GetParam();
-  EXPECT_EQ(b.sharded.patched_sets, a.sharded.patched_sets) << GetParam();
-}
-
-// (c) The checkpoint files themselves: a killed run leaves the same
-// sidecar BYTES no matter which substrate was executing — plain SCKP
-// at W = 1 (inprocess included), aggregate SCSH at W = 3.
+// (b) The checkpoint files themselves: a killed run leaves the same
+// sidecar BYTES under either name — plain SCKP at W = 1, aggregate
+// SCSH at W = 3.
 TEST_P(BackendSweep, CheckpointSidecarsAreByteIdenticalAcrossBackends) {
   Fixture fixture = MakePlantedFixture(401);
   for (uint32_t workers : {1u, 3u}) {
-    std::vector<std::string> backends = {"sharded", "forked"};
+    std::vector<std::string> backends = {"sharded"};
     if (workers == 1) backends.insert(backends.begin(), "inprocess");
 
     std::vector<std::string> paths;
@@ -185,45 +148,8 @@ TEST_P(BackendSweep, CheckpointSidecarsAreByteIdenticalAcrossBackends) {
   }
 }
 
-// (d) Killing one worker PROCESS mid-stream: the run fails with the
-// dead-worker diagnostic, the aggregate checkpoint holds every slot
-// the workers managed to write, and resuming from it finishes
-// bit-identical to the never-killed run.
-TEST_P(BackendSweep, KillOneWorkerProcessAndResume) {
-  Fixture fixture = MakePlantedFixture(401);
-  const std::string path = TempPath("failw_" + GetParam() + ".scsh");
-
-  engine::RunConfig base = BaseConfig(GetParam(), fixture.stream, "forked", 3);
-  engine::RunReport expected = engine::Execute(base);
-  ASSERT_TRUE(expected.completed) << expected.error;
-
-  engine::RunConfig kill = base;
-  kill.checkpoint.path = path;
-  kill.checkpoint.every = 10;
-  kill.backend.fail_worker = 1;
-  kill.backend.fail_worker_after = 20;
-  engine::RunReport killed = engine::Execute(kill);
-  ASSERT_FALSE(killed.completed) << GetParam();
-  EXPECT_NE(killed.error.find("worker 1 exited without a report"),
-            std::string::npos)
-      << GetParam() << ": " << killed.error;
-  ASSERT_GT(killed.checkpoints_written, 0u) << GetParam();
-
-  engine::RunConfig resume = base;
-  resume.options.seed = 999;  // must be ignored: state is on disk
-  resume.checkpoint.path = path;
-  resume.checkpoint.every = 10;
-  resume.checkpoint.resume = true;
-  engine::RunReport resumed = engine::Execute(resume);
-  ASSERT_TRUE(resumed.completed) << GetParam() << ": " << resumed.error;
-  EXPECT_TRUE(resumed.resumed) << GetParam();
-  ExpectSameSolution(resumed, expected, GetParam());
-  std::remove(path.c_str());
-}
-
-// Stream schedules are substrate-independent source backends: a 2-pass
-// schedule equals one pass over the physically doubled stream, on
-// every backend.
+// Stream schedules are composable sources under either name: a 2-pass
+// schedule equals one pass over the physically doubled stream.
 TEST_P(BackendSweep, TwoPassScheduleMatchesDoubledStreamOnEveryBackend) {
   Fixture fixture = MakePlantedFixture(421);
   // Same declared metadata (the scheduled source reports one pass's
@@ -235,7 +161,7 @@ TEST_P(BackendSweep, TwoPassScheduleMatchesDoubledStreamOnEveryBackend) {
       BaseConfig(GetParam(), doubled, "inprocess", 0));
   ASSERT_TRUE(expected.completed) << expected.error;
 
-  for (const std::string backend : {"inprocess", "sharded", "forked"}) {
+  for (const std::string backend : {"inprocess", "sharded"}) {
     const std::string context = GetParam() + " backend=" + backend;
     engine::RunConfig config =
         BaseConfig(GetParam(), fixture.stream, backend,
@@ -260,29 +186,6 @@ std::string TestName(const testing::TestParamInfo<std::string>& info) {
 INSTANTIATE_TEST_SUITE_P(ShardableAlgorithms, BackendSweep,
                          testing::ValuesIn(ShardableAlgorithmNames()),
                          TestName);
-
-// The forked backend over a real v3 stream file: each worker process
-// opens its own cursor into the mmap'd file; the result must match
-// the in-memory run edge for edge.
-TEST(BackendMatrixTest, ForkedFileSourceMatchesInMemory) {
-  Fixture fixture = MakePlantedFixture(431);
-  const std::string path = TempPath("file.scs3");
-  std::string error;
-  ASSERT_TRUE(
-      WriteStreamFile(fixture.stream, path, StreamFormat::kV3, &error))
-      << error;
-
-  engine::RunReport memory =
-      engine::Execute(BaseConfig("kk", fixture.stream, "forked", 3));
-  ASSERT_TRUE(memory.completed) << memory.error;
-
-  engine::RunConfig from_file = BaseConfig("kk", fixture.stream, "forked", 3);
-  from_file.source = engine::SourceSpec::File(path);
-  engine::RunReport file = engine::Execute(from_file);
-  ASSERT_TRUE(file.completed) << file.error;
-  ExpectSameSolution(file, memory, "forked file vs memory");
-  std::remove(path.c_str());
-}
 
 // A 2-pass schedule over a v3 FILE resumes mid-pass-2: scheduled
 // positions (pass * N + record) are the checkpoint coordinate, so
@@ -364,22 +267,9 @@ TEST(BackendMatrixTest, WindowScheduleRejectsCheckpointing) {
       << report.error;
 }
 
-// The forked backend refuses windowed schedules: replayed window
-// contents cannot cross the process boundary by position.
-TEST(BackendMatrixTest, ForkedRejectsWindowSchedules) {
-  Fixture fixture = MakePlantedFixture(441);
-  engine::RunConfig config = BaseConfig("kk", fixture.stream, "forked", 2);
-  config.source.schedule.window = 16;
-  config.source.schedule.replay_every = 64;
-  engine::RunReport report = engine::Execute(config);
-  ASSERT_FALSE(report.completed);
-  EXPECT_NE(report.error.find("windowed schedules"), std::string::npos)
-      << report.error;
-}
-
-// ShardedSession — the push-side of the seam: ingesting the stream in
+// ShardedSession — the push-side counterpart: ingesting the stream in
 // client-sized batches through W sub-sessions merges to the exact
-// ExecuteSharded result at the same (seed, W).
+// engine::Execute result at the same (seed, W).
 TEST(BackendMatrixTest, ShardedSessionMatchesExecuteSharded) {
   Fixture fixture = MakePlantedFixture(451);
   engine::RunReport expected =
@@ -427,9 +317,8 @@ TEST(BackendMatrixTest, ShardedSessionRejectsFaultSchedules) {
   EXPECT_NE(error.find("fault schedules"), std::string::npos) << error;
 }
 
-// Dispatch and registry plumbing: explicit names win, workers > 1
-// auto-selects sharded, unknown names fail with the known-name list,
-// and the registry names all three substrates.
+// Name dispatch: an empty name with workers > 1 runs W shards, and
+// unknown names fail with the known-name list.
 TEST(BackendMatrixTest, DispatchAndRegistry) {
   Fixture fixture = MakePlantedFixture(401);
 
@@ -442,15 +331,8 @@ TEST(BackendMatrixTest, DispatchAndRegistry) {
   engine::RunReport unknown = engine::Execute(config);
   ASSERT_FALSE(unknown.completed);
   EXPECT_NE(unknown.error.find("unknown backend"), std::string::npos);
-  EXPECT_NE(unknown.error.find("forked"), std::string::npos);
-
-  const auto& registry = engine::BackendRegistry();
-  ASSERT_EQ(registry.size(), 3u);
-  EXPECT_EQ(registry[0].name, "inprocess");
-  EXPECT_EQ(registry[1].name, "sharded");
-  EXPECT_EQ(registry[2].name, "forked");
-  EXPECT_FALSE(registry[0].multiprocess);
-  EXPECT_TRUE(registry[2].multiprocess);
+  EXPECT_NE(unknown.error.find("inprocess"), std::string::npos);
+  EXPECT_NE(unknown.error.find("sharded"), std::string::npos);
 }
 
 }  // namespace

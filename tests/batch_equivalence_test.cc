@@ -18,7 +18,7 @@
 #include "core/registry.h"
 #include "core/streaming_algorithm.h"
 #include "instance/generators.h"
-#include "run/run_supervisor.h"
+#include "engine/engine.h"
 #include "stream/edge_source.h"
 #include "stream/fault_injector.h"
 #include "stream/orderings.h"
@@ -133,8 +133,8 @@ TEST_P(BatchEquivalence, SupervisedFaultyDeliveryMatchesPerEdge) {
   auto supervised_algorithm = MakeAlgorithmByName(GetParam(), {});
   VectorEdgeSource base(stream);
   FaultInjector source(&base, schedule);
-  RunReport report =
-      RunSupervisor(SupervisorOptions{}).Run(*supervised_algorithm, source);
+  engine::RunReport report =
+      engine::Drive({}, *supervised_algorithm, source);
   ASSERT_TRUE(report.error.empty()) << report.error;
   ASSERT_TRUE(report.completed);
 

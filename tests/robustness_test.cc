@@ -13,7 +13,7 @@
 #include "core/registry.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
-#include "run/run_supervisor.h"
+#include "engine/engine.h"
 #include "stream/fault_injector.h"
 #include "stream/orderings.h"
 #include "util/rng.h"
@@ -161,7 +161,7 @@ TEST_P(RobustnessSweep, SurvivesEveryFaultKindUnderSupervision) {
     VectorEdgeSource base(stream);
     FaultInjector source(&base, FaultSchedule::AllKinds(fault_seed, 0.05));
     auto algorithm = MakeAlgorithmByName(GetParam(), {.seed = 15});
-    RunReport report = RunSupervisor({}).Run(*algorithm, source);
+    engine::RunReport report = engine::Drive({}, *algorithm, source);
 
     const std::string context =
         GetParam() + " fault_seed=" + std::to_string(fault_seed);
@@ -195,7 +195,7 @@ TEST_P(RobustnessSweep, FaultSweepIsDeterministic) {
     VectorEdgeSource base(stream);
     FaultInjector source(&base, FaultSchedule::AllKinds(55, 0.06));
     auto algorithm = MakeAlgorithmByName(GetParam(), {.seed = 8});
-    RunReport report = RunSupervisor({}).Run(*algorithm, source);
+    engine::RunReport report = engine::Drive({}, *algorithm, source);
     ASSERT_TRUE(report.completed) << GetParam() << ": " << report.error;
     (round == 0 ? first : second) = report.solution;
   }

@@ -14,7 +14,7 @@
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "run/checkpoint.h"
-#include "run/run_supervisor.h"
+#include "engine/engine.h"
 #include "stream/fault_injector.h"
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
@@ -74,8 +74,8 @@ TEST_P(SupervisorSweep, KillAndResumeIsBitIdentical) {
   // Uninterrupted reference run under the same supervisor.
   auto reference = MakeAlgorithmByName(GetParam(), {.seed = 21});
   VectorEdgeSource reference_source(fixture.stream);
-  RunReport expected =
-      RunSupervisor({}).Run(*reference, reference_source);
+  engine::RunReport expected =
+      engine::Drive({}, *reference, reference_source);
   ASSERT_TRUE(expected.completed) << expected.error;
   ASSERT_EQ(expected.edges_delivered, fixture.stream.size());
 
@@ -84,23 +84,23 @@ TEST_P(SupervisorSweep, KillAndResumeIsBitIdentical) {
     // Phase 1: run to edge k, checkpoint there, die.
     auto victim = MakeAlgorithmByName(GetParam(), {.seed = 21});
     VectorEdgeSource victim_source(fixture.stream);
-    SupervisorOptions kill_options;
+    engine::DriveOptions kill_options;
     kill_options.checkpoint_path = path;
     kill_options.checkpoint_every = k;
     kill_options.stop_after = k;
-    RunReport killed =
-        RunSupervisor(kill_options).Run(*victim, victim_source);
+    engine::RunReport killed =
+        engine::Drive(kill_options, *victim, victim_source);
     ASSERT_FALSE(killed.completed) << GetParam() << " k=" << k;
     ASSERT_EQ(killed.checkpoints_written, 1u) << GetParam() << " k=" << k;
 
     // Phase 2: fresh object, fresh source, resume, replay the tail.
     auto revived = MakeAlgorithmByName(GetParam(), {.seed = 999});
     VectorEdgeSource revived_source(fixture.stream);
-    SupervisorOptions resume_options;
+    engine::DriveOptions resume_options;
     resume_options.checkpoint_path = path;
     resume_options.resume = true;
-    RunReport resumed =
-        RunSupervisor(resume_options).Run(*revived, revived_source);
+    engine::RunReport resumed =
+        engine::Drive(resume_options, *revived, revived_source);
     ASSERT_TRUE(resumed.completed)
         << GetParam() << " k=" << k << ": " << resumed.error;
     EXPECT_TRUE(resumed.resumed);
@@ -126,20 +126,20 @@ TEST_P(SupervisorSweep, KillAndResumeUnderFaultsIsBitIdentical) {
   auto reference = MakeAlgorithmByName(GetParam(), {.seed = 23});
   VectorEdgeSource reference_base(fixture.stream);
   FaultInjector reference_source(&reference_base, schedule);
-  RunReport expected =
-      RunSupervisor({}).Run(*reference, reference_source);
+  engine::RunReport expected =
+      engine::Drive({}, *reference, reference_source);
   ASSERT_TRUE(expected.completed) << expected.error;
 
   // Phase 1: checkpoint periodically, die mid-stream.
   auto victim = MakeAlgorithmByName(GetParam(), {.seed = 23});
   VectorEdgeSource victim_base(fixture.stream);
   FaultInjector victim_source(&victim_base, schedule);
-  SupervisorOptions kill_options;
+  engine::DriveOptions kill_options;
   kill_options.checkpoint_path = path;
   kill_options.checkpoint_every = 11;
   kill_options.stop_after = 60;
-  RunReport killed =
-      RunSupervisor(kill_options).Run(*victim, victim_source);
+  engine::RunReport killed =
+      engine::Drive(kill_options, *victim, victim_source);
   ASSERT_FALSE(killed.completed) << GetParam();
   ASSERT_GT(killed.checkpoints_written, 0u) << GetParam();
 
@@ -147,11 +147,11 @@ TEST_P(SupervisorSweep, KillAndResumeUnderFaultsIsBitIdentical) {
   auto revived = MakeAlgorithmByName(GetParam(), {.seed = 999});
   VectorEdgeSource revived_base(fixture.stream);
   FaultInjector revived_source(&revived_base, schedule);
-  SupervisorOptions resume_options;
+  engine::DriveOptions resume_options;
   resume_options.checkpoint_path = path;
   resume_options.resume = true;
-  RunReport resumed =
-      RunSupervisor(resume_options).Run(*revived, revived_source);
+  engine::RunReport resumed =
+      engine::Drive(resume_options, *revived, revived_source);
   ASSERT_TRUE(resumed.completed) << GetParam() << ": " << resumed.error;
   EXPECT_TRUE(resumed.resumed);
 
@@ -199,30 +199,30 @@ TEST(RunSupervisorTest, KillAndResumeOverAnOnDiskStreamFile) {
   auto reference_source = StreamFileSource::Open(stream_path, &error);
   ASSERT_NE(reference_source, nullptr) << error;
   auto reference = MakeAlgorithmByName("random-order", {.seed = 31});
-  RunReport expected =
-      RunSupervisor({}).Run(*reference, *reference_source);
+  engine::RunReport expected =
+      engine::Drive({}, *reference, *reference_source);
   ASSERT_TRUE(expected.completed) << expected.error;
 
   auto victim_source = StreamFileSource::Open(stream_path, &error);
   ASSERT_NE(victim_source, nullptr) << error;
   auto victim = MakeAlgorithmByName("random-order", {.seed = 31});
-  SupervisorOptions kill_options;
+  engine::DriveOptions kill_options;
   kill_options.checkpoint_path = ckpt_path;
   kill_options.checkpoint_every = 1000;
   kill_options.stop_after = 5500;  // dies inside the second chunk
-  RunReport killed =
-      RunSupervisor(kill_options).Run(*victim, *victim_source);
+  engine::RunReport killed =
+      engine::Drive(kill_options, *victim, *victim_source);
   ASSERT_FALSE(killed.completed);
   ASSERT_GT(killed.checkpoints_written, 0u);
 
   auto revived_source = StreamFileSource::Open(stream_path, &error);
   ASSERT_NE(revived_source, nullptr) << error;
   auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
-  SupervisorOptions resume_options;
+  engine::DriveOptions resume_options;
   resume_options.checkpoint_path = ckpt_path;
   resume_options.resume = true;
-  RunReport resumed =
-      RunSupervisor(resume_options).Run(*revived, *revived_source);
+  engine::RunReport resumed =
+      engine::Drive(resume_options, *revived, *revived_source);
   ASSERT_TRUE(resumed.completed) << resumed.error;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.resumed_at, 5000u);
@@ -252,11 +252,11 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
   ASSERT_GT(stream.size(), size_t{2} * 4096);
 
   std::string error;
-  RunReport expected;
+  engine::RunReport expected;
   {
     VectorEdgeSource source(stream);
     auto reference = MakeAlgorithmByName("random-order", {.seed = 31});
-    expected = RunSupervisor({}).Run(*reference, source);
+    expected = engine::Drive({}, *reference, source);
     ASSERT_TRUE(expected.completed) << expected.error;
   }
 
@@ -277,12 +277,12 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
           StreamFileSource::Open(stream_path, read_options, &error);
       ASSERT_NE(victim_source, nullptr) << error;
       auto victim = MakeAlgorithmByName("random-order", {.seed = 31});
-      SupervisorOptions kill_options;
+      engine::DriveOptions kill_options;
       kill_options.checkpoint_path = ckpt_path;
       kill_options.checkpoint_every = 1000;
       kill_options.stop_after = 5500;
-      RunReport killed =
-          RunSupervisor(kill_options).Run(*victim, *victim_source);
+      engine::RunReport killed =
+          engine::Drive(kill_options, *victim, *victim_source);
       ASSERT_FALSE(killed.completed) << label;
       ASSERT_GT(killed.checkpoints_written, 0u) << label;
 
@@ -290,11 +290,11 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
           StreamFileSource::Open(stream_path, read_options, &error);
       ASSERT_NE(revived_source, nullptr) << error;
       auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
-      SupervisorOptions resume_options;
+      engine::DriveOptions resume_options;
       resume_options.checkpoint_path = ckpt_path;
       resume_options.resume = true;
-      RunReport resumed =
-          RunSupervisor(resume_options).Run(*revived, *revived_source);
+      engine::RunReport resumed =
+          engine::Drive(resume_options, *revived, *revived_source);
       ASSERT_TRUE(resumed.completed) << label << ": " << resumed.error;
       EXPECT_TRUE(resumed.resumed) << label;
       EXPECT_EQ(resumed.resumed_at, 5000u) << label;
@@ -337,7 +337,7 @@ TEST(RunSupervisorTest, ChecksumFailedChunkDegradesTheRun) {
   auto source = StreamFileSource::Open(path, &error);
   ASSERT_NE(source, nullptr) << error;
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  RunReport report = RunSupervisor({}).Run(*algorithm, *source);
+  engine::RunReport report = engine::Drive({}, *algorithm, *source);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_TRUE(report.degraded);
@@ -359,9 +359,9 @@ TEST(RunSupervisorTest, SurvivesTransientFaultsWithBackoff) {
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
 
   std::vector<uint64_t> slept;
-  SupervisorOptions options;
+  engine::DriveOptions options;
   options.sleeper = [&slept](uint64_t us) { slept.push_back(us); };
-  RunReport report = RunSupervisor(options).Run(*algorithm, source);
+  engine::RunReport report = engine::Drive(options, *algorithm, source);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_FALSE(report.degraded);
@@ -382,9 +382,9 @@ TEST(RunSupervisorTest, ExhaustedRetriesDegradeToCertifiedPartialCover) {
   FaultInjector source(&base, schedule);
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
 
-  SupervisorOptions options;
+  engine::DriveOptions options;
   options.backoff.max_retries = 4;
-  RunReport report = RunSupervisor(options).Run(*algorithm, source);
+  engine::RunReport report = engine::Drive(options, *algorithm, source);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_TRUE(report.degraded);
@@ -401,7 +401,7 @@ TEST(RunSupervisorTest, CorruptRecordsAreSkippedAndCounted) {
   VectorEdgeSource base(fixture.stream);
   FaultInjector source(&base, schedule);
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  RunReport report = RunSupervisor({}).Run(*algorithm, source);
+  engine::RunReport report = engine::Drive({}, *algorithm, source);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_GT(report.corrupt_records_skipped, 0u);
@@ -418,11 +418,11 @@ TEST(RunSupervisorTest, RejectsCorruptedCheckpoint) {
 
   auto victim = MakeAlgorithmByName("kk", {.seed = 3});
   VectorEdgeSource victim_source(fixture.stream);
-  SupervisorOptions kill_options;
+  engine::DriveOptions kill_options;
   kill_options.checkpoint_path = path;
   kill_options.checkpoint_every = 20;
   kill_options.stop_after = 20;
-  RunSupervisor(kill_options).Run(*victim, victim_source);
+  engine::Drive(kill_options, *victim, victim_source);
 
   // Flip one byte mid-file; resume must refuse, not resume from garbage.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -435,11 +435,11 @@ TEST(RunSupervisorTest, RejectsCorruptedCheckpoint) {
 
   auto revived = MakeAlgorithmByName("kk", {.seed = 3});
   VectorEdgeSource revived_source(fixture.stream);
-  SupervisorOptions resume_options;
+  engine::DriveOptions resume_options;
   resume_options.checkpoint_path = path;
   resume_options.resume = true;
-  RunReport report =
-      RunSupervisor(resume_options).Run(*revived, revived_source);
+  engine::RunReport report =
+      engine::Drive(resume_options, *revived, revived_source);
   EXPECT_FALSE(report.completed);
   EXPECT_FALSE(report.error.empty());
   std::remove(path.c_str());
@@ -451,18 +451,19 @@ TEST(RunSupervisorTest, RejectsCheckpointFromAnotherAlgorithm) {
 
   auto victim = MakeAlgorithmByName("kk", {.seed = 3});
   VectorEdgeSource victim_source(fixture.stream);
-  SupervisorOptions kill_options;
+  engine::DriveOptions kill_options;
   kill_options.checkpoint_path = path;
   kill_options.checkpoint_every = 20;
   kill_options.stop_after = 20;
-  RunSupervisor(kill_options).Run(*victim, victim_source);
+  engine::Drive(kill_options, *victim, victim_source);
 
   auto other = MakeAlgorithmByName("first-set-patching", {.seed = 3});
   VectorEdgeSource other_source(fixture.stream);
-  SupervisorOptions resume_options;
+  engine::DriveOptions resume_options;
   resume_options.checkpoint_path = path;
   resume_options.resume = true;
-  RunReport report = RunSupervisor(resume_options).Run(*other, other_source);
+  engine::RunReport report =
+      engine::Drive(resume_options, *other, other_source);
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.error.find("kk"), std::string::npos);
   std::remove(path.c_str());
@@ -481,10 +482,10 @@ TEST(RunSupervisorTest, NeverCheckpointsWhileSourceOwesAReplay) {
   VectorEdgeSource base(fixture.stream);
   FaultInjector source(&base, schedule);
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  SupervisorOptions options;
+  engine::DriveOptions options;
   options.checkpoint_path = path;
   options.checkpoint_every = 1;
-  RunReport report = RunSupervisor(options).Run(*algorithm, source);
+  engine::RunReport report = engine::Drive(options, *algorithm, source);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_EQ(report.edges_delivered, 2 * fixture.stream.size());

@@ -247,6 +247,10 @@ TEST(SessionServer, OverloadShedsWithRetryAfterAndClientsStillFinish) {
       clients.emplace_back([&, i] {
         ClientOptions client_options = FastClientOptions(uint64_t(i) + 1);
         client_options.backoff.max_retries = 64;  // shed storms need depth
+        // Sleep the backoff delay, as default clients do: a no-op sleeper
+        // burns all 64 retries whenever the one server worker is
+        // descheduled.
+        client_options.sleeper = nullptr;
         SessionClient client(DialerFor(&endpoint), client_options);
         ok[i] = RunSessionToCompletion(
             &client, uint64_t(i) + 1, MakeOpen(algorithm, 21, fixture),

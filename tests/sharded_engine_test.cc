@@ -1,14 +1,14 @@
-// Shard-count invariance — the acceptance bar for the sharded
-// execution mode (engine/sharded.h). For every shardable algorithm:
+// Shard-count invariance — the acceptance bar for engine::Execute at
+// backend.workers = W. For every shardable algorithm:
 // (a) a W=1 sharded run is bit-identical to engine::Execute on the
 // same config; (b) at W in {2, 4, 7} the merged cover validates, stays
 // within the deterministic protocol's 2*sqrt(n*W) factor of greedy on
 // a Table-1 planted instance, and the merge's largest message stays
 // within the recorded O~(n) bound; (c) kill-and-resume mid-ingest
 // through the ONE aggregate checkpoint file reproduces the unkilled
-// run byte-for-byte. Plus: thread-count invisibility, the
-// engine::Execute shards dispatch, file/in-memory agreement, the
-// partitioner seam, and the sharded checkpoint format itself.
+// run byte-for-byte. Plus: thread-count invisibility, file/in-memory
+// agreement, the partitioner seam, and the sharded checkpoint format
+// itself.
 
 #include <cmath>
 #include <cstdio>
@@ -22,7 +22,6 @@
 
 #include "core/registry.h"
 #include "engine/engine.h"
-#include "engine/sharded.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "offline/greedy.h"
@@ -59,14 +58,13 @@ std::string TempPath(const std::string& tag) {
   return testing::TempDir() + name;
 }
 
-engine::ShardedRunConfig BaseConfig(const std::string& algorithm,
-                                    const EdgeStream& stream,
-                                    uint32_t shards) {
-  engine::ShardedRunConfig config;
-  config.base.algorithm = algorithm;
-  config.base.options.seed = 21;
-  config.base.source = engine::SourceSpec::InMemory(stream);
-  config.shards = shards;
+engine::RunConfig BaseConfig(const std::string& algorithm,
+                             const EdgeStream& stream, uint32_t shards) {
+  engine::RunConfig config;
+  config.algorithm = algorithm;
+  config.options.seed = 21;
+  config.source = engine::SourceSpec::InMemory(stream);
+  config.backend.workers = shards;
   return config;
 }
 
@@ -84,19 +82,18 @@ void ExpectSameSolution(const engine::RunReport& actual,
 
 class ShardedSweep : public testing::TestWithParam<std::string> {};
 
-// (a) W=1: the shard filter passes everything, the merge is skipped,
-// and the run must be bit-identical to the unsharded engine — covers,
-// certificates, counters, meter readings. (Peak words only in NDEBUG:
-// the unsharded in-memory fast path runs the debug-build first-batch
-// equivalence spot-check, which re-bases the meter peak; the sharded
-// fast path, like the file path, never does.)
+// (a) W=1: no shard filter, no merge — the run must be bit-identical
+// to the unsharded engine: covers, certificates, counters, meter
+// readings.
 TEST_P(ShardedSweep, SingleShardIsBitIdenticalToExecute) {
   Fixture fixture = MakePlantedFixture(301);
-  engine::ShardedRunConfig config = BaseConfig(GetParam(), fixture.stream, 1);
+  engine::RunConfig config = BaseConfig(GetParam(), fixture.stream, 1);
 
-  engine::RunReport expected = engine::Execute(config.base);
+  engine::RunConfig unsharded = config;
+  unsharded.backend = engine::BackendSpec{};
+  engine::RunReport expected = engine::Execute(unsharded);
   ASSERT_TRUE(expected.completed) << expected.error;
-  engine::RunReport report = engine::ExecuteSharded(config);
+  engine::RunReport report = engine::Execute(config);
   ASSERT_TRUE(report.completed) << report.error;
 
   ExpectSameSolution(report, expected, GetParam());
@@ -123,10 +120,10 @@ TEST_P(ShardedSweep, MergedCoverAndMessageWithinProtocolBounds) {
   for (uint32_t shards : {2u, 4u, 7u}) {
     const std::string context =
         GetParam() + " W=" + std::to_string(shards);
-    engine::ShardedRunConfig config =
+    engine::RunConfig config =
         BaseConfig(GetParam(), fixture.stream, shards);
-    config.base.validate = &fixture.instance;
-    engine::RunReport report = engine::ExecuteSharded(config);
+    config.validate = &fixture.instance;
+    engine::RunReport report = engine::Execute(config);
 
     ASSERT_TRUE(report.completed) << context << ": " << report.error;
     ASSERT_TRUE(report.validated) << context;
@@ -166,26 +163,26 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
   for (uint32_t shards : {2u, 4u, 7u}) {
     const std::string context =
         GetParam() + " W=" + std::to_string(shards);
-    engine::ShardedRunConfig base =
+    engine::RunConfig base =
         BaseConfig(GetParam(), fixture.stream, shards);
-    engine::RunReport expected = engine::ExecuteSharded(base);
+    engine::RunReport expected = engine::Execute(base);
     ASSERT_TRUE(expected.completed) << context << ": " << expected.error;
 
-    engine::ShardedRunConfig kill = base;
-    kill.base.checkpoint.path = path;
-    kill.base.checkpoint.every = 10;
-    kill.base.stop_after = 25;  // every shard holds hundreds of edges
-    engine::RunReport killed = engine::ExecuteSharded(kill);
+    engine::RunConfig kill = base;
+    kill.checkpoint.path = path;
+    kill.checkpoint.every = 10;
+    kill.stop_after = 25;  // every shard holds hundreds of edges
+    engine::RunReport killed = engine::Execute(kill);
     ASSERT_TRUE(killed.error.empty()) << context << ": " << killed.error;
     ASSERT_FALSE(killed.completed) << context;
     ASSERT_GE(killed.checkpoints_written, uint64_t{shards}) << context;
 
-    engine::ShardedRunConfig resume = base;
-    resume.base.options.seed = 999;  // must be ignored: state is on disk
-    resume.base.checkpoint.path = path;
-    resume.base.checkpoint.every = 10;
-    resume.base.checkpoint.resume = true;
-    engine::RunReport resumed = engine::ExecuteSharded(resume);
+    engine::RunConfig resume = base;
+    resume.options.seed = 999;  // must be ignored: state is on disk
+    resume.checkpoint.path = path;
+    resume.checkpoint.every = 10;
+    resume.checkpoint.resume = true;
+    engine::RunReport resumed = engine::Execute(resume);
     ASSERT_TRUE(resumed.completed) << context << ": " << resumed.error;
     EXPECT_TRUE(resumed.resumed) << context;
     ExpectSameSolution(resumed, expected, context);
@@ -200,13 +197,13 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
 // and on 4 threads must produce identical reports.
 TEST_P(ShardedSweep, ThreadCountIsObservationallyInvisible) {
   Fixture fixture = MakePlantedFixture(301);
-  engine::ShardedRunConfig wide = BaseConfig(GetParam(), fixture.stream, 4);
-  wide.threads = 4;
-  engine::ShardedRunConfig narrow = wide;
-  narrow.threads = 1;
+  engine::RunConfig wide = BaseConfig(GetParam(), fixture.stream, 4);
+  wide.backend.threads = 4;
+  engine::RunConfig narrow = wide;
+  narrow.backend.threads = 1;
 
-  engine::RunReport a = engine::ExecuteSharded(wide);
-  engine::RunReport b = engine::ExecuteSharded(narrow);
+  engine::RunReport a = engine::Execute(wide);
+  engine::RunReport b = engine::Execute(narrow);
   ASSERT_TRUE(a.completed) << a.error;
   ASSERT_TRUE(b.completed) << b.error;
   ExpectSameSolution(a, b, GetParam());
@@ -226,24 +223,6 @@ INSTANTIATE_TEST_SUITE_P(ShardableAlgorithms, ShardedSweep,
                          testing::ValuesIn(ShardableAlgorithmNames()),
                          TestName);
 
-// RunConfig::shards > 1 dispatches Execute into the sharded mode — the
-// two entry points must agree exactly.
-TEST(ShardedEngineTest, ExecuteDispatchesShardsToExecuteSharded) {
-  Fixture fixture = MakePlantedFixture(301);
-  engine::ShardedRunConfig sharded = BaseConfig("kk", fixture.stream, 4);
-  engine::RunReport direct = engine::ExecuteSharded(sharded);
-  ASSERT_TRUE(direct.completed) << direct.error;
-
-  engine::RunConfig via_execute = sharded.base;
-  via_execute.shards = 4;
-  engine::RunReport dispatched = engine::Execute(via_execute);
-  ASSERT_TRUE(dispatched.completed) << dispatched.error;
-  ExpectSameSolution(dispatched, direct, "dispatch");
-  EXPECT_EQ(dispatched.sharded.shards, 4u);
-  EXPECT_EQ(dispatched.sharded.max_message_words,
-            direct.sharded.max_message_words);
-}
-
 // File-backed sharded runs (each shard cursoring the same mmap'd v3
 // file) must agree with the in-memory sharded run over the same edges.
 TEST(ShardedEngineTest, FileShardsMatchInMemoryShards) {
@@ -254,13 +233,13 @@ TEST(ShardedEngineTest, FileShardsMatchInMemoryShards) {
       WriteStreamFile(fixture.stream, path, StreamFormat::kV3, &error))
       << error;
 
-  engine::ShardedRunConfig in_memory = BaseConfig("kk", fixture.stream, 4);
-  engine::RunReport expected = engine::ExecuteSharded(in_memory);
+  engine::RunConfig in_memory = BaseConfig("kk", fixture.stream, 4);
+  engine::RunReport expected = engine::Execute(in_memory);
   ASSERT_TRUE(expected.completed) << expected.error;
 
-  engine::ShardedRunConfig from_file = in_memory;
-  from_file.base.source = engine::SourceSpec::File(path);
-  engine::RunReport report = engine::ExecuteSharded(from_file);
+  engine::RunConfig from_file = in_memory;
+  from_file.source = engine::SourceSpec::File(path);
+  engine::RunReport report = engine::Execute(from_file);
   ASSERT_TRUE(report.completed) << report.error;
   ExpectSameSolution(report, expected, "file");
   EXPECT_EQ(report.sharded.max_message_words,
@@ -273,13 +252,13 @@ TEST(ShardedEngineTest, FileShardsMatchInMemoryShards) {
 // enforced on resume.
 TEST(ShardedEngineTest, CustomPartitionerRunsAndGuardsResume) {
   Fixture fixture = MakePlantedFixture(301);
-  engine::ShardedRunConfig config = BaseConfig("kk", fixture.stream, 3);
-  config.partitioner.name = "set-div";
-  config.partitioner.index = [](SetId s, uint32_t shards) {
+  engine::RunConfig config = BaseConfig("kk", fixture.stream, 3);
+  config.backend.partitioner.name = "set-div";
+  config.backend.partitioner.index = [](SetId s, uint32_t shards) {
     return (s / 7) % shards;
   };
-  config.base.validate = &fixture.instance;
-  engine::RunReport report = engine::ExecuteSharded(config);
+  config.validate = &fixture.instance;
+  engine::RunReport report = engine::Execute(config);
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_TRUE(report.validation.ok) << report.validation.error;
 
@@ -287,18 +266,18 @@ TEST(ShardedEngineTest, CustomPartitionerRunsAndGuardsResume) {
   // under the default one: refused, the cursors would replay the wrong
   // slices.
   const std::string path = TempPath("partitioner.scsh");
-  engine::ShardedRunConfig kill = config;
-  kill.base.validate = nullptr;
-  kill.base.checkpoint.path = path;
-  kill.base.checkpoint.every = 10;
-  kill.base.stop_after = 25;
-  ASSERT_TRUE(engine::ExecuteSharded(kill).error.empty());
+  engine::RunConfig kill = config;
+  kill.validate = nullptr;
+  kill.checkpoint.path = path;
+  kill.checkpoint.every = 10;
+  kill.stop_after = 25;
+  ASSERT_TRUE(engine::Execute(kill).error.empty());
 
-  engine::ShardedRunConfig wrong = kill;
-  wrong.base.stop_after = 0;
-  wrong.base.checkpoint.resume = true;
-  wrong.partitioner = engine::SetModuloPartitioner();
-  engine::RunReport refused = engine::ExecuteSharded(wrong);
+  engine::RunConfig wrong = kill;
+  wrong.stop_after = 0;
+  wrong.checkpoint.resume = true;
+  wrong.backend.partitioner = engine::SetModuloPartitioner();
+  engine::RunReport refused = engine::Execute(wrong);
   EXPECT_FALSE(refused.completed);
   EXPECT_NE(refused.error.find("partitioned by 'set-div'"),
             std::string::npos)
@@ -311,16 +290,16 @@ TEST(ShardedEngineTest, CustomPartitionerRunsAndGuardsResume) {
 TEST(ShardedEngineTest, ResumeAtDifferentShardCountIsRefused) {
   Fixture fixture = MakePlantedFixture(301);
   const std::string path = TempPath("wrong_w.scsh");
-  engine::ShardedRunConfig kill = BaseConfig("kk", fixture.stream, 4);
-  kill.base.checkpoint.path = path;
-  kill.base.checkpoint.every = 10;
-  kill.base.stop_after = 25;
-  ASSERT_TRUE(engine::ExecuteSharded(kill).error.empty());
+  engine::RunConfig kill = BaseConfig("kk", fixture.stream, 4);
+  kill.checkpoint.path = path;
+  kill.checkpoint.every = 10;
+  kill.stop_after = 25;
+  ASSERT_TRUE(engine::Execute(kill).error.empty());
 
-  engine::ShardedRunConfig wrong = BaseConfig("kk", fixture.stream, 2);
-  wrong.base.checkpoint.path = path;
-  wrong.base.checkpoint.resume = true;
-  engine::RunReport refused = engine::ExecuteSharded(wrong);
+  engine::RunConfig wrong = BaseConfig("kk", fixture.stream, 2);
+  wrong.checkpoint.path = path;
+  wrong.checkpoint.resume = true;
+  engine::RunReport refused = engine::Execute(wrong);
   EXPECT_FALSE(refused.completed);
   EXPECT_NE(refused.error.find("4-shard run"), std::string::npos)
       << refused.error;
@@ -332,18 +311,18 @@ TEST(ShardedEngineTest, ResumeAtDifferentShardCountIsRefused) {
 // its algorithm object).
 TEST(ShardedEngineTest, RejectsNonShardableAndInstanceConfigs) {
   Fixture fixture = MakePlantedFixture(301);
-  engine::ShardedRunConfig config =
+  engine::RunConfig config =
       BaseConfig("store-everything-greedy", fixture.stream, 2);
-  engine::RunReport report = engine::ExecuteSharded(config);
+  engine::RunReport report = engine::Execute(config);
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.error.find("not shardable"), std::string::npos)
       << report.error;
   EXPECT_NE(report.error.find("kk"), std::string::npos) << report.error;
 
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 1});
-  engine::ShardedRunConfig with_instance = BaseConfig("", fixture.stream, 2);
-  with_instance.base.algorithm_instance = algorithm.get();
-  engine::RunReport rejected = engine::ExecuteSharded(with_instance);
+  engine::RunConfig with_instance = BaseConfig("", fixture.stream, 2);
+  with_instance.algorithm_instance = algorithm.get();
+  engine::RunReport rejected = engine::Execute(with_instance);
   EXPECT_FALSE(rejected.completed);
   EXPECT_NE(rejected.error.find("registry algorithm name"),
             std::string::npos)

@@ -21,11 +21,11 @@
 //             of random-order-nguess); results are bit-identical to
 //             --threads=1. --shards W partitions the stream by set id
 //             across W workers merged through the deterministic t-party
-//             protocol (engine/sharded.h; requires a shardable
+//             protocol (engine/engine.h; requires a shardable
 //             algorithm, incompatible with --runs > 1).
 //
 //   solve-stream --stream stream.bin [--algorithm kk] [--seed S]
-//             [--threads T] [--shards W] [--backend B]
+//             [--threads T] [--shards W]
 //             [--passes P] [--window K --replay-every R]
 //             [--no-prefetch] [--no-mmap]
 //             [--timings] [--checkpoint ckpt.sckp]
@@ -47,17 +47,14 @@
 //             of the same (mmap-shared) file and the covers merge via
 //             the deterministic protocol; with --checkpoint the W
 //             cursors aggregate into one sidecar file and --resume
-//             restores all of them. --backend picks the execution
-//             substrate by name (inprocess | sharded | forked; see
-//             `describe`): the same run, bit-identical, on the calling
-//             thread, the thread pool, or W forked worker processes.
+//             restores all of them.
 //             --passes P layers a P-pass schedule over the file
 //             (each pass replays the identical record sequence);
 //             --algorithm=progressive-threshold runs the multi-pass
 //             progressive threshold greedy through the pass schedule.
 //             --window K --replay-every R layers a sliding-window
 //             replay feed (duplicate-heavy arrivals; incompatible with
-//             checkpointing and the forked backend).
+//             checkpointing).
 //
 //   compare   --instance instance.txt [--order random] [--seed S]
 //             Runs *every* registered algorithm on the same stream and
@@ -70,10 +67,8 @@
 //             Prints the self-describing registry: one row per
 //             algorithm with space class, approximation class,
 //             supported arrival orders, the shardable capability
-//             (whether --shards may fan the algorithm out across the
-//             sharded execution mode), and a one-line description —
-//             followed by the execution-backend registry (one row per
-//             substrate --backend accepts).
+//             (whether --shards may fan the algorithm out across W
+//             workers), and a one-line description.
 //
 // All subcommands that run an algorithm are thin clients of
 // engine::Execute (src/engine/engine.h): they describe the run as a
@@ -97,7 +92,6 @@
 #include "core/multi_pass.h"
 #include "core/multi_run.h"
 #include "core/registry.h"
-#include "engine/backend.h"
 #include "engine/engine.h"
 #include "instance/generators.h"
 #include "instance/io.h"
@@ -195,12 +189,6 @@ int CmdDescribe() {
                 info.space_class.c_str(), info.approx_class.c_str(),
                 info.shardable ? "yes" : "no", orders.c_str());
     std::printf("    %s\n", info.description.c_str());
-  }
-  std::printf("\n%-12s %-12s %s\n", "backend", "multiprocess", "summary");
-  for (const engine::BackendInfo& backend : engine::BackendRegistry()) {
-    std::printf("%-12s %-12s %s\n", backend.name.c_str(),
-                backend.multiprocess ? "yes" : "no",
-                backend.summary.c_str());
   }
   return 0;
 }
@@ -347,7 +335,7 @@ int CmdSolve(const FlagSet& flags) {
     config.algorithm = algorithm_name;
     config.options = options;
     config.source = engine::SourceSpec::InMemory(stream);
-    config.shards = static_cast<uint32_t>(shards);
+    config.backend.workers = static_cast<uint32_t>(shards);
     sharded_report = engine::Execute(config);
     if (!sharded_report.error.empty()) {
       std::fprintf(stderr, "run failed: %s\n", sharded_report.error.c_str());
@@ -451,23 +439,20 @@ int CmdSolveStream(const FlagSet& flags) {
   }
   const int64_t shards = multipass ? 1 : ShardsFlag(flags, algorithm_name);
   if (shards < 0) return 2;
-  if (multipass && (flags.GetInt("shards", 1) > 1 ||
-                    !flags.GetString("backend", "").empty())) {
+  if (multipass && flags.GetInt("shards", 1) > 1) {
     std::fprintf(stderr,
-                 "--algorithm=progressive-threshold runs the in-process "
-                 "pipeline only (no --shards / --backend): pass state "
-                 "spans the whole stream\n");
+                 "--algorithm=progressive-threshold runs one pipeline only "
+                 "(no --shards): pass state spans the whole stream\n");
     return 2;
   }
 
   engine::RunConfig config;
   config.algorithm = algorithm_name;
-  config.backend.name = flags.GetString("backend", "");
   config.options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   config.options.alpha = flags.GetDouble("alpha", 0.0);
   config.options.threads =
       static_cast<unsigned>(std::max<int64_t>(1, flags.GetInt("threads", 1)));
-  config.shards = static_cast<uint32_t>(shards);
+  config.backend.workers = static_cast<uint32_t>(shards);
 
   StreamReadOptions read_options;
   read_options.prefetch = !flags.GetBool("no-prefetch", false);
@@ -527,9 +512,6 @@ int CmdSolveStream(const FlagSet& flags) {
   for (SetId w : report.solution.certificate)
     witnessed += (w != kNoSet) ? 1 : 0;
   std::printf("algorithm:   %s\n", report.algorithm_name.c_str());
-  if (!config.backend.name.empty()) {
-    std::printf("backend:     %s\n", config.backend.name.c_str());
-  }
   if (passes > 1) {
     if (multipass && adapter.has_value()) {
       std::printf("passes:      %lld (%u completed)\n",
