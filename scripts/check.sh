@@ -29,9 +29,10 @@
 #      TSan (-DSETCOVER_TSAN=ON), so the engine-backed parallel drivers
 #      and the server's scheduler/drain paths are race-checked.
 #
-# Both modes start with layering guards: outside src/engine/ (and the
-# contract's own definition sites), production code must not drive
-# ProcessEdgeBatch directly — every run path goes through the engine —
+# Both modes start with layering guards: outside the engine's pump
+# (src/engine/pump.cc) and the contract's own definition sites,
+# production code must not drive ProcessEdgeBatch directly — every run
+# path goes through the engine —
 # src/server/ must stay a pure engine client (no includes of the
 # core/instance/algorithm layers), raw shared-memory plumbing
 # (memfd_create / SCM_RIGHTS fd passing) stays confined to
@@ -42,13 +43,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== layering guard: ProcessEdgeBatch callers outside src/engine/ =="
-# Allowlist: the engine itself, the interface + batch/per-edge contract
-# definition sites, and the composite algorithm that fans a batch out to
-# its sub-runs. bench/ and tests/ are exempt by not being scanned.
+echo "== layering guard: ProcessEdgeBatch callers outside the engine's pump =="
+# Allowlist: the engine's one call site (the pump every drive loop
+# feeds), the interface + batch/per-edge contract definition sites, and
+# the composite algorithm that fans a batch out to its sub-runs. bench/
+# and tests/ are exempt by not being scanned.
 GUARD_ALLOW=(
-  src/engine/engine.cc
-  src/engine/session.cc
+  src/engine/pump.cc
   src/core/streaming_algorithm.h
   src/core/streaming_algorithm.cc
   src/core/multi_run.cc
@@ -57,8 +58,9 @@ GUARD_HITS=$(grep -rnE '(\.|->)ProcessEdgeBatch\(' src/ tools/ examples/ \
   $(printf -- "--exclude=%s " "${GUARD_ALLOW[@]##*/}") || true)
 if [[ -n "$GUARD_HITS" ]]; then
   echo "$GUARD_HITS"
-  echo "layering guard: ProcessEdgeBatch called outside src/engine/;"
-  echo "route new run paths through engine::Execute (see docs/architecture.md)"
+  echo "layering guard: ProcessEdgeBatch called outside src/engine/pump.cc;"
+  echo "route new run paths through engine::Execute or feed the pump"
+  echo "(see docs/architecture.md)"
   exit 1
 fi
 
@@ -94,7 +96,7 @@ fi
 # 2√(n·t) guarantee and the Õ(n) message accounting in one place.
 # bench/ and tests/ are exempt by not being scanned.
 PROTO_ALLOW=(
-  src/engine/backends/shard_common.cc
+  src/engine/shards.cc
   src/comm/deterministic_protocol.h
   src/comm/deterministic_protocol.cc
 )
@@ -306,7 +308,7 @@ EOF
   # candidate remapping.
   build-asan/tests/sharded_engine_test
   # The backend-name matrix — W = 1 bit-identity across names, sidecar
-  # bytes, schedules, and the ShardedSession merge — under ASan.
+  # bytes, schedules, and the W > 1 Session merge — under ASan.
   build-asan/tests/backend_matrix_test
   build-asan/tests/batch_equivalence_test
   build-asan/tests/stream_format_test

@@ -9,8 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "engine/backends/common.h"
-#include "engine/backends/shard_common.h"
+#include "engine/pump.h"
+#include "engine/shards.h"
 #include "run/checkpoint.h"
 #include "stream/edge.h"
 #include "util/thread_pool.h"
@@ -22,10 +22,9 @@ namespace {
 using internal::AggregateCheckpointWriter;
 using internal::CheckpointSink;
 using internal::Clock;
-using internal::FinalizeRun;
 using internal::KeepAll;
+using internal::Pump;
 using internal::Seconds;
-using internal::StampMeter;
 
 /// The config checks Execute() performs before building any pipeline:
 /// a known algorithm — at W > 1 a shardable registry name, never an
@@ -71,34 +70,29 @@ bool ValidateRunConfig(const RunConfig& config, uint32_t workers,
 }
 
 /// The batcher of the fast loops, for one shard. Under KeepAll (W = 1)
-/// input spans reach the algorithm in place, cut at `batch_edges` —
-/// zero copy. Under a partitioning owner the shard's edges are
-/// compacted into `pending` and flushed every `batch_edges` edges, so a
-/// shard sees the batch boundaries a lone pipeline over its slice would.
+/// input spans reach the pump in place, cut at `batch_edges` — zero
+/// copy. Under a partitioning owner the shard's edges are compacted into
+/// `pending` and flushed every `batch_edges` edges, so a shard sees the
+/// batch boundaries a lone pipeline over its slice would.
 template <typename Owner>
 struct FastBatcher {
-  RunReport* report;
-  StreamingSetCoverAlgorithm& algorithm;
+  Pump& pump;
   size_t batch_edges;
   uint32_t shard;
   Owner owner;
-  /// Stream shape for RunStream's debug-build first-batch equivalence
-  /// spot-check; nullptr skips it.
-  const StreamMetadata* check_meta;
+  /// Route the first batch through RunStream's debug-build equivalence
+  /// spot-check.
+  bool spot_check;
   std::vector<Edge> pending;
 
   void Process(std::span<const Edge> batch) {
 #ifndef NDEBUG
-    if (check_meta != nullptr && report->stages.batches == 0) {
-      ProcessBatchCheckedForEquivalence(algorithm, *check_meta, batch);
-    } else {
-      algorithm.ProcessEdgeBatch(batch);
+    if (spot_check && pump.report().stages.batches == 0) {
+      pump.FeedSpotChecked(batch);
+      return;
     }
-#else
-    algorithm.ProcessEdgeBatch(batch);
 #endif
-    ++report->stages.batches;
-    report->edges_delivered += batch.size();
+    pump.Feed(batch);
   }
 
   void Feed(std::span<const Edge> input) {
@@ -127,17 +121,15 @@ struct FastBatcher {
 /// debug-build first-batch spot-check) with the engine's counters
 /// layered on — pinned by engine_equivalence_test.
 template <typename Owner>
-void DriveInMemory(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
-                   const EdgeStream& stream, size_t batch_edges,
+void DriveInMemory(Pump& pump, const EdgeStream& stream, size_t batch_edges,
                    uint32_t shard, Owner owner) {
   const auto start = Clock::now();
-  algorithm.Begin(stream.meta);
-  FastBatcher<Owner> batcher{report, algorithm, batch_edges, shard, owner,
-                             &stream.meta, {}};
+  pump.Begin(stream.meta);
+  FastBatcher<Owner> batcher{pump, batch_edges, shard, owner, true, {}};
   batcher.Feed(stream.edges);
   batcher.Flush();
-  report->stages.stream_seconds = Seconds(start);
-  FinalizeRun(report, algorithm);
+  pump.report().stages.stream_seconds = Seconds(start);
+  pump.Finish();
 }
 
 /// The file fast loop: chunk-aligned, CRC-verified batches straight off
@@ -148,25 +140,24 @@ void DriveInMemory(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
 /// run; early EOF degrades it. Only shard 0 counts the chunk — every
 /// shard sees it, and the aggregate count must stay W-invariant.
 template <typename Owner>
-void DriveFile(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
-               BatchEdgeReader& reader, size_t batch_edges, uint32_t shard,
-               Owner owner) {
+void DriveFile(Pump& pump, BatchEdgeReader& reader, size_t batch_edges,
+               uint32_t shard, Owner owner) {
   const auto start = Clock::now();
-  algorithm.Begin(reader.Meta());
-  FastBatcher<Owner> batcher{report, algorithm, batch_edges, shard, owner,
-                             nullptr, {}};
+  pump.Begin(reader.Meta());
+  FastBatcher<Owner> batcher{pump, batch_edges, shard, owner, false, {}};
   for (std::span<const Edge> batch = reader.NextBatch(); !batch.empty();
        batch = reader.NextBatch()) {
     batcher.Feed(batch);
   }
   batcher.Flush();
-  report->stages.stream_seconds = Seconds(start);
+  RunReport& report = pump.report();
+  report.stages.stream_seconds = Seconds(start);
   if (reader.ChecksumFailed() && shard == 0) {
-    ++report->corrupt_records_skipped;
-    ++report->faults_survived;
+    ++report.corrupt_records_skipped;
+    ++report.faults_survived;
   }
-  if (reader.Truncated() || reader.ChecksumFailed()) report->degraded = true;
-  FinalizeRun(report, algorithm);
+  if (reader.Truncated() || reader.ChecksumFailed()) report.degraded = true;
+  pump.Finish();
 }
 
 /// One pipeline of a W-way run: shard `shard`'s slice of the stream
@@ -175,7 +166,6 @@ void DriveFile(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
 RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
                    bool supervised, const std::optional<Checkpoint>& resume,
                    const CheckpointSink& sink) {
-  RunReport report;
   const auto setup_start = Clock::now();
 
   std::unique_ptr<StreamingSetCoverAlgorithm> owned;
@@ -187,26 +177,26 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
     owned = MakeAlgorithmByName(config.algorithm, options);
     algorithm = owned.get();
   }
-  report.algorithm_name = algorithm->Name();
 
   if (!supervised) {
+    Pump pump(*algorithm);
     std::unique_ptr<BatchEdgeReader> reader;
     if (config.source.stream == nullptr) {
       reader = OpenBatchEdgeReader(config.source.path,
-                                   config.source.read_options, &report.error);
-      if (reader == nullptr) return report;
+                                   config.source.read_options,
+                                   &pump.report().error);
+      if (reader == nullptr) return std::move(pump.report());
     }
-    report.stages.setup_seconds = Seconds(setup_start);
+    pump.report().stages.setup_seconds = Seconds(setup_start);
     internal::WithOwner(config.backend.partitioner, workers, [&](auto owner) {
       if (reader != nullptr) {
-        DriveFile(&report, *algorithm, *reader, config.batch_edges, shard,
-                  owner);
+        DriveFile(pump, *reader, config.batch_edges, shard, owner);
       } else {
-        DriveInMemory(&report, *algorithm, *config.source.stream,
-                      config.batch_edges, shard, owner);
+        DriveInMemory(pump, *config.source.stream, config.batch_edges, shard,
+                      owner);
       }
     });
-    return report;
+    return std::move(pump.report());
   }
 
   // Supervised: source -> schedule -> fault injector -> shard filter
@@ -221,9 +211,11 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
   if (config.source.stream != nullptr) {
     source = &vector_source.emplace(*config.source.stream);
   } else {
+    RunReport failed;
+    failed.algorithm_name = algorithm->Name();
     file_source = StreamFileSource::Open(
-        config.source.path, config.source.read_options, &report.error);
-    if (file_source == nullptr) return report;
+        config.source.path, config.source.read_options, &failed.error);
+    if (file_source == nullptr) return failed;
     source = file_source.get();
   }
   std::optional<ScheduledSource> scheduled;
@@ -249,7 +241,7 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
   drive.stop_after = config.stop_after;
   drive.batch_edges = config.batch_edges;
   const double setup_seconds = Seconds(setup_start);
-  report = Drive(drive, *algorithm, *source);
+  RunReport report = Drive(drive, *algorithm, *source);
   report.stages.setup_seconds += setup_seconds;
   return report;
 }
@@ -258,52 +250,27 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
 
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source) {
-  RunReport report;
-  report.algorithm_name = algorithm.Name();
-  const StreamMetadata& meta = source.Meta();
+  Pump pump(algorithm);
+  RunReport& report = pump.report();
   const auto setup_start = Clock::now();
 
   if (options.resume || options.resume_from != nullptr) {
-    std::optional<Checkpoint> checkpoint;
-    if (options.resume_from != nullptr) {
-      checkpoint = *options.resume_from;
-    } else {
-      std::string error;
-      checkpoint = LoadCheckpoint(options.checkpoint_path, &error);
-      if (!checkpoint) {
-        report.error = error;
-        return report;
-      }
+    std::optional<Checkpoint> loaded;
+    const Checkpoint* checkpoint = options.resume_from;
+    if (checkpoint == nullptr) {
+      loaded = LoadCheckpoint(options.checkpoint_path, &report.error);
+      if (!loaded) return std::move(report);
+      checkpoint = &*loaded;
     }
-    if (checkpoint->algorithm_name != algorithm.Name()) {
-      report.error = "checkpoint was written by algorithm '" +
-                     checkpoint->algorithm_name + "', not '" +
-                     algorithm.Name() + "'";
-      return report;
-    }
-    if (checkpoint->meta.num_sets != meta.num_sets ||
-        checkpoint->meta.num_elements != meta.num_elements ||
-        checkpoint->meta.stream_length != meta.stream_length) {
-      report.error = "checkpoint stream shape does not match the source";
-      return report;
-    }
-    if (!algorithm.DecodeState(meta, checkpoint->state_words)) {
-      report.error = "algorithm '" + algorithm.Name() +
-                     "' could not decode the checkpointed state";
-      return report;
+    if (!pump.Resume(source.Meta(), *checkpoint, &report.error)) {
+      return std::move(report);
     }
     if (!source.SeekTo(checkpoint->stream_position)) {
       report.error = "source cannot seek to checkpointed position";
-      return report;
+      return std::move(report);
     }
-    report.resumed = true;
-    report.resumed_at = checkpoint->stream_position;
-    report.edges_delivered = checkpoint->edges_delivered;
-    report.transient_retries = checkpoint->transient_retries;
-    report.corrupt_records_skipped = checkpoint->corrupt_skipped;
-    report.faults_survived = checkpoint->faults_survived;
   } else {
-    algorithm.Begin(meta);
+    pump.Begin(source.Meta());
   }
   report.stages.setup_seconds = Seconds(setup_start);
 
@@ -318,8 +285,8 @@ RunReport Drive(const DriveOptions& options,
 
   // Batched ingestion: edges accumulate with the same per-edge fault
   // handling as the original per-edge supervisor, and flush through
-  // ProcessEdgeBatch. Batches are capped so that every observable
-  // boundary of the per-edge loop — checkpoint positions
+  // the pump. Batches are capped so that every observable boundary of
+  // the per-edge loop — checkpoint positions
   // (edges_delivered % checkpoint_every == 0), the stop_after kill
   // point, and end-of-stream — falls exactly on a flush, so
   // checkpoints, reports and the algorithm's state are bit-identical
@@ -329,10 +296,8 @@ RunReport Drive(const DriveOptions& options,
   batch.reserve(batch_edges);
   auto flush = [&] {
     if (batch.empty()) return;
-    algorithm.ProcessEdgeBatch(std::span<const Edge>(batch));
-    report.edges_delivered += batch.size();
+    pump.Feed(batch);
     delivered_this_run += batch.size();
-    ++report.stages.batches;
     batch.clear();
   };
   for (;;) {
@@ -342,9 +307,8 @@ RunReport Drive(const DriveOptions& options,
       // disk is exactly what a real crash would leave behind.
       flush();
       report.stages.stream_seconds = Seconds(stream_start);
-      report.uncovered_elements = 0;
-      StampMeter(&report, algorithm);
-      return report;
+      pump.StampMeter();
+      return std::move(report);
     }
     const ReadStatus status = source.Next(&edge);
     if (status == ReadStatus::kTransient) {
@@ -373,26 +337,15 @@ RunReport Drive(const DriveOptions& options,
         logical_delivered % options.checkpoint_every == 0) {
       flush();
       if (!source.HasPendingReplay()) {
-        StateEncoder encoder;
-        algorithm.EncodeState(&encoder);
-        Checkpoint checkpoint;
-        checkpoint.algorithm_name = algorithm.Name();
-        checkpoint.meta = meta;
-        checkpoint.stream_position = source.Position();
-        checkpoint.edges_delivered = report.edges_delivered;
-        checkpoint.transient_retries = report.transient_retries;
-        checkpoint.corrupt_skipped = report.corrupt_records_skipped;
-        checkpoint.faults_survived = report.faults_survived;
-        checkpoint.state_words = encoder.Words();
-        std::string error;
+        const Checkpoint checkpoint = pump.Snapshot(source.Position(), 0);
         const bool saved =
             options.checkpoint_sink
-                ? options.checkpoint_sink(checkpoint, &error)
-                : SaveCheckpoint(checkpoint, options.checkpoint_path, &error);
+                ? options.checkpoint_sink(checkpoint, &report.error)
+                : SaveCheckpoint(checkpoint, options.checkpoint_path,
+                                 &report.error);
         if (!saved) {
-          report.error = error;
-          StampMeter(&report, algorithm);
-          return report;
+          pump.StampMeter();
+          return std::move(report);
         }
         ++report.checkpoints_written;
       }
@@ -404,8 +357,8 @@ RunReport Drive(const DriveOptions& options,
   report.stages.stream_seconds = Seconds(stream_start);
 
   if (source.Truncated()) report.degraded = true;
-  FinalizeRun(&report, algorithm);
-  return report;
+  pump.Finish();
+  return std::move(report);
 }
 
 RunReport Execute(const RunConfig& config) {

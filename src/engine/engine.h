@@ -146,10 +146,10 @@ struct RunReport {
   /// Per-stage counters and timings.
   StageStats stages;
 
-  /// Per-shard accounting of an Execute() run: `shards` is its worker
-  /// count W (1 for a single pipeline). The merge fields stay zero at
-  /// W = 1, where no merge runs. Drive() and a plain Session leave the
-  /// struct untouched (shards == 0).
+  /// Per-shard accounting of an Execute() run or a finalized Session:
+  /// `shards` is its worker count W (1 for a single pipeline). The
+  /// merge fields stay zero at W = 1, where no merge runs. Drive()
+  /// leaves the struct untouched (shards == 0).
   struct ShardStats {
     uint32_t shards = 0;
 

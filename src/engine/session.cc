@@ -1,20 +1,18 @@
 #include "engine/session.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
+#include "engine/shards.h"
 #include "run/checkpoint.h"
 
 namespace setcover {
 namespace engine {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point since) {
-  return std::chrono::duration<double>(Clock::now() - since).count();
-}
+using internal::Clock;
+using internal::Seconds;
 
 /// EdgeSource over one ingest batch, positioned at the session's
 /// absolute stream coordinate so the fault injector's (seed, position)
@@ -49,21 +47,46 @@ class SpanEdgeSource : public EdgeSource {
   size_t offset_ = 0;
 };
 
+/// The sessions' set-id split; W > 1 checkpoints record its name.
+const ShardPartitioner& Partitioner() {
+  static const ShardPartitioner partitioner = SetModuloPartitioner();
+  return partitioner;
+}
+
 }  // namespace
 
 std::unique_ptr<Session> Session::Open(const SessionConfig& config,
                                        bool resume, std::string* error) {
   const auto setup_start = Clock::now();
-  std::unique_ptr<Session> session(new Session());
-  session->config_ = config;
-  session->algorithm_ = MakeAlgorithmByName(config.algorithm, config.options);
-  if (session->algorithm_ == nullptr) {
-    if (error != nullptr) *error = UnknownAlgorithmError(config.algorithm);
+  const uint32_t workers = std::max<uint32_t>(1, config.workers);
+  const AlgorithmInfo* info = FindAlgorithm(config.algorithm);
+  if (info == nullptr) {
+    *error = UnknownAlgorithmError(config.algorithm);
     return nullptr;
   }
-  session->algorithm_name_ = session->algorithm_->Name();
+  if (workers > 1 && !info->shardable) {
+    *error = NotShardableError(config.algorithm);
+    return nullptr;
+  }
+  if (workers > 1 && config.faults.has_value()) {
+    *error =
+        "sharded sessions do not support fault schedules; inject faults "
+        "on the client side of the wire";
+    return nullptr;
+  }
 
-  std::optional<Checkpoint> checkpoint;
+  std::unique_ptr<Session> session(new Session());
+  session->config_ = config;
+  session->slices_.resize(workers);
+  session->pumps_.reserve(workers);
+  for (uint32_t w = 0; w < workers; ++w) {
+    AlgorithmOptions options = config.options;
+    options.seed += w;
+    session->pumps_.emplace_back(
+        MakeAlgorithmByName(config.algorithm, options));
+  }
+
+  std::vector<std::optional<Checkpoint>> slots(workers);
   if (resume && !config.checkpoint_path.empty()) {
     // A missing file means "crashed before the first checkpoint" and is
     // a legitimate fresh start; anything else wrong with an *existing*
@@ -71,106 +94,73 @@ std::unique_ptr<Session> Session::Open(const SessionConfig& config,
     std::FILE* probe = std::fopen(config.checkpoint_path.c_str(), "rb");
     if (probe != nullptr) {
       std::fclose(probe);
-      std::string load_error;
-      checkpoint = LoadCheckpoint(config.checkpoint_path, &load_error);
-      if (!checkpoint) {
-        if (error != nullptr) *error = load_error;
+      if (!internal::LoadResumeSlots(config.checkpoint_path, workers,
+                                     Partitioner().name, &slots, error)) {
         return nullptr;
       }
+      // Every write stores all W slots at one cursor; anything else is
+      // not a checkpoint this session wrote.
+      for (const std::optional<Checkpoint>& slot : slots) {
+        if (!slot.has_value() ||
+            slot->session_sequence != slots[0]->session_sequence ||
+            slot->stream_position != slots[0]->stream_position) {
+          *error = "sharded checkpoint slots are missing or disagree on "
+                   "the session cursor";
+          return nullptr;
+        }
+      }
     }
   }
-
-  if (checkpoint) {
-    if (checkpoint->algorithm_name != session->algorithm_name_) {
-      if (error != nullptr) {
-        *error = "checkpoint was written by algorithm '" +
-                 checkpoint->algorithm_name + "', not '" +
-                 session->algorithm_name_ + "'";
-      }
+  for (uint32_t w = 0; w < workers; ++w) {
+    internal::Pump& pump = session->pumps_[w];
+    if (!slots[w].has_value()) {
+      pump.Begin(config.meta);
+    } else if (!pump.Resume(config.meta, *slots[w], error)) {
       return nullptr;
     }
-    if (checkpoint->meta.num_sets != config.meta.num_sets ||
-        checkpoint->meta.num_elements != config.meta.num_elements ||
-        checkpoint->meta.stream_length != config.meta.stream_length) {
-      if (error != nullptr)
-        *error = "checkpoint stream shape does not match the session";
-      return nullptr;
-    }
-    if (!session->algorithm_->DecodeState(config.meta,
-                                          checkpoint->state_words)) {
-      if (error != nullptr) {
-        *error = "algorithm '" + session->algorithm_name_ +
-                 "' could not decode the checkpointed state";
-      }
-      return nullptr;
-    }
-    session->position_ = checkpoint->stream_position;
-    session->edges_delivered_ = checkpoint->edges_delivered;
-    session->delivered_at_last_checkpoint_ = checkpoint->edges_delivered;
-    session->transient_retries_ = checkpoint->transient_retries;
-    session->corrupt_records_skipped_ = checkpoint->corrupt_skipped;
-    session->faults_survived_ = checkpoint->faults_survived;
-    session->last_sequence_ = checkpoint->session_sequence;
-    session->resumed_ = true;
-  } else {
-    session->algorithm_->Begin(config.meta);
   }
-  session->setup_seconds_ = Seconds(setup_start);
+  if (slots[0].has_value()) {
+    session->position_ = slots[0]->stream_position;
+    session->last_sequence_ = slots[0]->session_sequence;
+    session->delivered_at_last_checkpoint_ = session->EdgesDelivered();
+  }
+  const double setup_seconds = Seconds(setup_start);
+  for (internal::Pump& pump : session->pumps_)
+    pump.report().stages.setup_seconds = setup_seconds;
   return session;
 }
 
-IngestResult Session::Ingest(uint64_t sequence, std::span<const Edge> edges,
+uint64_t Session::EdgesDelivered() const {
+  uint64_t delivered = 0;
+  for (const internal::Pump& pump : pumps_)
+    delivered += pump.report().edges_delivered;
+  return delivered;
+}
+
+bool Session::FeedWithFaults(std::span<const Edge> edges,
                              std::string* error) {
-  IngestResult result;
-  result.last_sequence = last_sequence_;
-  if (final_report_.has_value()) {
-    if (error != nullptr) *error = "session already finalized";
-    return result;
-  }
-  if (sequence <= last_sequence_) {
-    ++duplicate_ingests_;
-    result.status = IngestStatus::kDuplicate;
-    return result;
-  }
-  if (sequence != last_sequence_ + 1) {
-    if (error != nullptr) *error = "ingest sequence gap";
-    result.status = IngestStatus::kOutOfOrder;
-    return result;
-  }
-
-  const auto stream_start = Clock::now();
-
-  // Pass the batch through a fresh fault-injection pipeline anchored at
-  // the session's absolute position. All injector replay state
-  // (transient countdowns, owed duplicates) lives strictly inside one
-  // batch: duplicates are delivered before the span's kEnd, so nothing
+  // A fresh injector per batch: all its replay state (transient
+  // countdowns, owed duplicates) lives strictly inside one batch —
+  // duplicates are delivered before the span's kEnd, so nothing
   // straddles batches and checkpoints at batch boundaries never see
   // pending replay.
-  delivery_.clear();
-  if (delivery_.capacity() < edges.size()) delivery_.reserve(edges.size());
   SpanEdgeSource span_source(config_.meta, edges, position_);
-  std::optional<FaultInjector> injector;
-  EdgeSource* source = &span_source;
-  if (config_.faults.has_value()) {
-    injector.emplace(&span_source, *config_.faults);
-    source = &*injector;
-  }
-
+  FaultInjector injector(&span_source, *config_.faults);
+  std::vector<Edge>& delivery = slices_[0];
+  delivery.clear();
   ExponentialBackoff retry(config_.backoff);
   uint64_t transient_seen = 0, corrupt_seen = 0;
   Edge edge;
   for (;;) {
-    const ReadStatus status = source->Next(&edge);
+    const ReadStatus status = injector.Next(&edge);
     if (status == ReadStatus::kTransient) {
       uint64_t delay_us = 0;
       if (!retry.NextDelay(&delay_us)) {
         // Budget exhausted before anything reached the algorithm: the
         // batch is rejected whole, so the retry stays idempotent.
-        stream_seconds_ += Seconds(stream_start);
-        if (error != nullptr)
-          *error = "transient retry budget exhausted mid-batch";
-        degraded_ = true;
-        return result;
+        *error = "transient retry budget exhausted mid-batch";
+        pumps_[0].report().degraded = true;
+        return false;
       }
       ++transient_seen;
       continue;  // the server never sleeps; clients own pacing
@@ -181,29 +171,67 @@ IngestResult Session::Ingest(uint64_t sequence, std::span<const Edge> edges,
       ++corrupt_seen;
       continue;
     }
-    delivery_.push_back(edge);
+    delivery.push_back(edge);
+  }
+  internal::Pump& pump = pumps_[0];
+  if (!delivery.empty()) pump.Feed(delivery);
+  pump.report().transient_retries += transient_seen;
+  pump.report().corrupt_records_skipped += corrupt_seen;
+  pump.report().faults_survived += transient_seen + corrupt_seen;
+  return true;
+}
+
+IngestResult Session::Ingest(uint64_t sequence, std::span<const Edge> edges,
+                             std::string* error) {
+  IngestResult result;
+  result.last_sequence = last_sequence_;
+  if (final_report_.has_value()) {
+    *error = "session already finalized";
+    return result;
+  }
+  if (sequence <= last_sequence_) {
+    ++duplicate_ingests_;
+    result.status = IngestStatus::kDuplicate;
+    return result;
+  }
+  if (sequence != last_sequence_ + 1) {
+    *error = "ingest sequence gap";
+    result.status = IngestStatus::kOutOfOrder;
+    return result;
   }
 
-  // Everything that survives fault injection is applied in one
-  // ProcessEdgeBatch call — by the batch/per-edge contract this leaves
-  // state bit-identical to any other batching of the same edges.
-  if (!delivery_.empty()) {
-    algorithm_->ProcessEdgeBatch(std::span<const Edge>(delivery_));
-    ++batches_;
+  // Each non-empty batch (or slice) is one ProcessEdgeBatch call; by
+  // the batch/per-edge contract that leaves state bit-identical to any
+  // other batching of the same edges.
+  const auto stream_start = Clock::now();
+  bool applied = true;
+  if (config_.faults.has_value()) {
+    applied = FeedWithFaults(edges, error);
+  } else if (pumps_.size() == 1) {
+    if (!edges.empty()) pumps_[0].Feed(edges);
+  } else {
+    for (std::vector<Edge>& slice : slices_) slice.clear();
+    internal::WithOwner(Partitioner(), uint32_t(pumps_.size()),
+                        [&](auto owner) {
+                          for (const Edge& edge : edges)
+                            slices_[owner(edge.set)].push_back(edge);
+                        });
+    for (size_t w = 0; w < pumps_.size(); ++w)
+      if (!slices_[w].empty()) pumps_[w].Feed(slices_[w]);
   }
+  const double stream_seconds = Seconds(stream_start);
+  for (internal::Pump& pump : pumps_)
+    pump.report().stages.stream_seconds += stream_seconds;
+  if (!applied) return result;
+
   position_ += edges.size();
-  edges_delivered_ += delivery_.size();
-  transient_retries_ += transient_seen;
-  corrupt_records_skipped_ += corrupt_seen;
-  faults_survived_ += transient_seen + corrupt_seen;
   last_sequence_ = sequence;
   ++ingest_calls_;
   result.status = IngestStatus::kApplied;
   result.last_sequence = last_sequence_;
-  stream_seconds_ += Seconds(stream_start);
 
   if (config_.checkpoint_every > 0 && !config_.checkpoint_path.empty() &&
-      edges_delivered_ - delivered_at_last_checkpoint_ >=
+      EdgesDelivered() - delivered_at_last_checkpoint_ >=
           config_.checkpoint_every) {
     if (!WriteCheckpoint(error)) {
       result.status = IngestStatus::kFailed;
@@ -216,74 +244,60 @@ IngestResult Session::Ingest(uint64_t sequence, std::span<const Edge> edges,
 
 bool Session::WriteCheckpoint(std::string* error) {
   if (config_.checkpoint_path.empty()) return true;  // volatile session
-  Checkpoint checkpoint;
-  checkpoint.algorithm_name = algorithm_name_;
-  checkpoint.meta = config_.meta;
-  checkpoint.stream_position = position_;
-  checkpoint.edges_delivered = edges_delivered_;
-  checkpoint.transient_retries = transient_retries_;
-  checkpoint.corrupt_skipped = corrupt_records_skipped_;
-  checkpoint.faults_survived = faults_survived_;
-  checkpoint.session_sequence = last_sequence_;
-  StateEncoder encoder;
-  algorithm_->EncodeState(&encoder);
-  checkpoint.state_words = encoder.Words();
-  if (!SaveCheckpoint(checkpoint, config_.checkpoint_path, error))
+  ShardedCheckpoint slots;
+  slots.shards = uint32_t(pumps_.size());
+  slots.partitioner = Partitioner().name;
+  for (const internal::Pump& pump : pumps_)
+    slots.shard_states.push_back(pump.Snapshot(position_, last_sequence_));
+  if (!internal::SaveSlots(slots, config_.checkpoint_path, error))
     return false;
-  ++checkpoints_written_;
-  delivered_at_last_checkpoint_ = edges_delivered_;
+  for (internal::Pump& pump : pumps_) ++pump.report().checkpoints_written;
+  delivered_at_last_checkpoint_ = EdgesDelivered();
   return true;
 }
 
 const RunReport& Session::Finalize() {
   if (final_report_.has_value()) return *final_report_;
-  const auto finalize_start = Clock::now();
+  // The pumps keep their reports: Stats() still reads them afterwards.
+  std::vector<RunReport> reports;
+  reports.reserve(pumps_.size());
+  for (internal::Pump& pump : pumps_) {
+    pump.Finish();
+    reports.push_back(pump.report());
+  }
   RunReport report;
-  report.algorithm_name = algorithm_name_;
-  report.solution = algorithm_->Finalize();
-  report.completed = true;
-  report.resumed = resumed_;
-  report.edges_delivered = edges_delivered_;
-  report.checkpoints_written = checkpoints_written_;
-  report.transient_retries = transient_retries_;
-  report.corrupt_records_skipped = corrupt_records_skipped_;
-  report.faults_survived = faults_survived_;
-  report.degraded = degraded_;
-  for (SetId s : report.solution.certificate)
-    if (s == kNoSet) ++report.uncovered_elements;
-  report.peak_words = algorithm_->Meter().PeakWords();
-  report.current_words = algorithm_->Meter().CurrentWords();
-  report.meter_breakdown = algorithm_->Meter().BreakdownString();
-  finalize_seconds_ = Seconds(finalize_start);
-  report.stages.setup_seconds = setup_seconds_;
-  report.stages.stream_seconds = stream_seconds_;
-  report.stages.finalize_seconds = finalize_seconds_;
-  report.stages.total_seconds =
-      setup_seconds_ + stream_seconds_ + finalize_seconds_;
-  report.stages.batches = batches_;
+  internal::AggregateShardReports(&report, reports, uint32_t(pumps_.size()),
+                                  /*merge_threshold=*/0);
+  report.stages.total_seconds = report.stages.setup_seconds +
+                                report.stages.stream_seconds +
+                                report.stages.finalize_seconds;
   final_report_ = std::move(report);
   return *final_report_;
 }
 
 SessionStats Session::Stats() const {
   SessionStats stats;
-  stats.edges_delivered = edges_delivered_;
-  stats.batches = batches_;
+  for (const internal::Pump& pump : pumps_) {
+    const RunReport& report = pump.report();
+    stats.edges_delivered += report.edges_delivered;
+    stats.batches += report.stages.batches;
+    stats.checkpoints_written += report.checkpoints_written;
+    stats.transient_retries += report.transient_retries;
+    stats.corrupt_records_skipped += report.corrupt_records_skipped;
+    stats.faults_survived += report.faults_survived;
+    stats.degraded = stats.degraded || report.degraded;
+    stats.finalize_seconds =
+        std::max(stats.finalize_seconds, report.stages.finalize_seconds);
+    stats.peak_words += pump.algorithm().Meter().PeakWords();
+    stats.current_words += pump.algorithm().Meter().CurrentWords();
+  }
   stats.ingest_calls = ingest_calls_;
   stats.duplicate_ingests = duplicate_ingests_;
-  stats.checkpoints_written = checkpoints_written_;
-  stats.transient_retries = transient_retries_;
-  stats.corrupt_records_skipped = corrupt_records_skipped_;
-  stats.faults_survived = faults_survived_;
   stats.last_sequence = last_sequence_;
-  stats.resumed = resumed_;
-  stats.finalized = final_report_.has_value();
-  stats.degraded = degraded_;
-  stats.setup_seconds = setup_seconds_;
-  stats.stream_seconds = stream_seconds_;
-  stats.finalize_seconds = finalize_seconds_;
-  stats.peak_words = algorithm_->Meter().PeakWords();
-  stats.current_words = algorithm_->Meter().CurrentWords();
+  stats.resumed = Resumed();
+  stats.finalized = Finalized();
+  stats.setup_seconds = pumps_[0].report().stages.setup_seconds;
+  stats.stream_seconds = pumps_[0].report().stages.stream_seconds;
   return stats;
 }
 

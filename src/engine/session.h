@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/pump.h"
 
 namespace setcover {
 namespace engine {
@@ -19,22 +20,22 @@ namespace engine {
 /// client-sized batches instead of being pulled from a source the
 /// engine owns.
 ///
-/// A Session owns exactly the per-run state Drive() keeps on its stack
-/// — algorithm instance (resolved through the registry), fault-injector
-/// coordinates, retry budget, checkpoint spec, fault counters — and
-/// exposes it across calls:
+/// A Session is W >= 1 engine pipelines kept alive across calls — the
+/// push-side mirror of Execute() with backend.workers = W — plus the
+/// exactly-once cursor and the absolute stream position:
 ///
 ///   open (fresh or resumed from checkpoint)
 ///     -> Ingest(seq 1, edges) -> Ingest(seq 2, edges) -> ...
 ///     -> Finalize() -> report
 ///
-/// Equivalence contract: for the same (algorithm, seed, fault schedule,
-/// concatenated edges), a Session produces the bit-identical cover,
-/// certificate, and meter readings of engine::Execute over the whole
-/// stream — at ANY ingest batch sizing, because ProcessEdgeBatch makes
-/// batching observationally invisible and fault decisions are a pure
-/// function of (seed, absolute position). tests/engine_session_test.cc
-/// pins this for every registered algorithm.
+/// Equivalence contract: for the same (algorithm, seed, W, fault
+/// schedule, concatenated edges), a Session produces the bit-identical
+/// cover, certificate, and meter readings of engine::Execute over the
+/// whole stream at the same W — at ANY ingest batch sizing, because
+/// ProcessEdgeBatch makes batching observationally invisible and fault
+/// decisions are a pure function of (seed, absolute position).
+/// tests/engine_session_test.cc pins this for every registered
+/// algorithm.
 ///
 /// Exactly-once ingest: every batch carries a client-assigned sequence
 /// number, 1-based and contiguous. A batch at or below the last applied
@@ -53,21 +54,32 @@ struct SessionConfig {
 
   /// Deterministic per-session stream damage, applied to ingested
   /// batches by absolute stream position — identical to handing the
-  /// schedule to engine::Execute over the concatenated stream.
+  /// schedule to engine::Execute over the concatenated stream. Refused
+  /// at W > 1.
   std::optional<FaultSchedule> faults;
 
   /// Sidecar checkpoint file; empty = volatile session (a crash loses
-  /// it and the client replays from scratch).
+  /// it and the client replays from scratch). A plain SCKP checkpoint
+  /// at W = 1; at W > 1 one aggregate SCSH file holding all W slots at
+  /// one cursor (run/checkpoint.h).
   std::string checkpoint_path;
 
   /// Write a checkpoint whenever at least this many edges were
   /// delivered since the last one, at ingest-batch boundaries.
-  /// 0 disables periodic checkpoints (explicit Checkpoint() still
+  /// 0 disables periodic checkpoints (explicit WriteCheckpoint() still
   /// works when a path is set).
   uint64_t checkpoint_every = 0;
 
   /// Retry budget for transient read faults (mirrors Drive()).
   BackoffPolicy backoff;
+
+  /// Worker fan-out W; 0 and 1 both run one pipeline. At W > 1 each
+  /// batch is split by set id (set-modulo), pipeline w runs at seed
+  /// `options.seed + w`, and Finalize merges the W covers through the
+  /// deterministic t-party protocol (paper §3) — bit-identical to
+  /// engine::Execute with backend.workers = W. W > 1 needs a shardable
+  /// algorithm and no fault schedule.
+  uint32_t workers = 0;
 };
 
 enum class IngestStatus {
@@ -108,38 +120,7 @@ struct SessionStats {
   size_t current_words = 0;
 };
 
-/// The push-side face of the backend seam: what the session server
-/// holds per open session, regardless of which execution substrate is
-/// behind it. Session (one in-process pipeline) and ShardedSession
-/// (engine/sharded_session.h — W set-partitioned sub-sessions merged
-/// through the deterministic t-party protocol) both implement it, so
-/// one daemon serves single-session and sharded runs through the same
-/// code path (server/session_manager.cc dispatches on OpenBody::workers).
-class SessionHandle {
- public:
-  virtual ~SessionHandle() = default;
-
-  /// See Session::Ingest for the exactly-once contract.
-  virtual IngestResult Ingest(uint64_t sequence, std::span<const Edge> edges,
-                              std::string* error) = 0;
-
-  /// See Session::WriteCheckpoint.
-  virtual bool WriteCheckpoint(std::string* error) = 0;
-
-  /// See Session::Finalize. Idempotent.
-  virtual const RunReport& Finalize() = 0;
-
-  /// Point-in-time counters; cheap, no algorithm work.
-  virtual SessionStats Stats() const = 0;
-
-  virtual uint64_t LastSequence() const = 0;
-  virtual bool Resumed() const = 0;
-  virtual bool Finalized() const = 0;
-  virtual const StreamMetadata& Meta() const = 0;
-  virtual const std::string& AlgorithmName() const = 0;
-};
-
-class Session final : public SessionHandle {
+class Session {
  public:
   /// Opens a session. With `resume` set and a loadable checkpoint at
   /// config.checkpoint_path, restores algorithm state, position,
@@ -147,7 +128,7 @@ class Session final : public SessionHandle {
   /// and NO checkpoint file, starts fresh (a crash before the first
   /// checkpoint is indistinguishable from never having started). A
   /// checkpoint that exists but fails to load, or does not match the
-  /// configured algorithm/shape, is a fatal error — never a silent
+  /// configured algorithm/shape/W, is a fatal error — never a silent
   /// restart. Returns nullptr with *error on failure.
   static std::unique_ptr<Session> Open(const SessionConfig& config,
                                        bool resume, std::string* error);
@@ -157,59 +138,58 @@ class Session final : public SessionHandle {
   /// unless the failure was a checkpoint write after a successful
   /// apply (then last_sequence reflects the applied batch).
   IngestResult Ingest(uint64_t sequence, std::span<const Edge> edges,
-                      std::string* error) override;
+                      std::string* error);
 
   /// Writes a checkpoint now (requires a configured path). True on
   /// success; also true (without writing) for volatile sessions so
   /// callers can checkpoint-all unconditionally on drain.
-  bool WriteCheckpoint(std::string* error) override;
+  bool WriteCheckpoint(std::string* error);
 
-  /// Ends the stream: finalizes the algorithm into a RunReport (cover,
-  /// certificate, meter, fault counters, stage timings). Idempotent —
-  /// repeated calls (a client retrying a lost Finalize reply) return
-  /// the cached report without re-finalizing.
-  const RunReport& Finalize() override;
+  /// Ends the stream: finalizes the W pipelines (merging them at
+  /// W > 1) into a RunReport (cover, certificate, meter, fault
+  /// counters, stage timings). Idempotent — repeated calls (a client
+  /// retrying a lost Finalize reply) return the cached report without
+  /// re-finalizing.
+  const RunReport& Finalize();
 
   /// Point-in-time counters; cheap, no algorithm work.
-  SessionStats Stats() const override;
+  SessionStats Stats() const;
 
-  uint64_t LastSequence() const override { return last_sequence_; }
-  bool Resumed() const override { return resumed_; }
-  bool Finalized() const override { return final_report_.has_value(); }
-  const StreamMetadata& Meta() const override { return config_.meta; }
-  const std::string& AlgorithmName() const override {
-    return algorithm_name_;
+  uint64_t LastSequence() const { return last_sequence_; }
+  bool Resumed() const { return pumps_[0].report().resumed; }
+  bool Finalized() const { return final_report_.has_value(); }
+  const StreamMetadata& Meta() const { return config_.meta; }
+  const std::string& AlgorithmName() const {
+    return pumps_[0].report().algorithm_name;
   }
 
  private:
   Session() = default;
 
+  uint64_t EdgesDelivered() const;
+
+  /// The W = 1 fault path: pass the batch through a fault injector
+  /// anchored at the absolute position. False with *error when the
+  /// retry budget runs out.
+  bool FeedWithFaults(std::span<const Edge> edges, std::string* error);
+
   SessionConfig config_;
-  std::unique_ptr<StreamingSetCoverAlgorithm> algorithm_;
-  std::string algorithm_name_;
+
+  /// The W pipelines; each report holds that pipeline's counters.
+  std::vector<internal::Pump> pumps_;
 
   /// Absolute underlying-record position — the coordinate fault
   /// decisions and checkpoints are keyed on.
   uint64_t position_ = 0;
   uint64_t last_sequence_ = 0;
-  uint64_t edges_delivered_ = 0;
   uint64_t delivered_at_last_checkpoint_ = 0;
-  uint64_t transient_retries_ = 0;
-  uint64_t corrupt_records_skipped_ = 0;
-  uint64_t faults_survived_ = 0;
-  uint64_t checkpoints_written_ = 0;
-  uint64_t batches_ = 0;
   uint64_t ingest_calls_ = 0;
   uint64_t duplicate_ingests_ = 0;
-  bool resumed_ = false;
-  bool degraded_ = false;
-  double setup_seconds_ = 0.0;
-  double stream_seconds_ = 0.0;
-  double finalize_seconds_ = 0.0;
 
-  /// Reusable post-fault delivery buffer (duplicates can make it
-  /// slightly larger than the incoming batch).
-  std::vector<Edge> delivery_;
+  /// Reusable per-pipeline batch buffers: the set-id split at W > 1,
+  /// the post-fault delivery at W = 1 (duplicates can make it slightly
+  /// larger than the incoming batch).
+  std::vector<std::vector<Edge>> slices_;
 
   std::optional<RunReport> final_report_;
 };

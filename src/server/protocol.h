@@ -96,9 +96,9 @@ struct OpenBody {
   uint64_t seed = 1;
   StreamMetadata meta;
   uint64_t checkpoint_every = 0;
-  /// Worker fan-out behind the session (engine/sharded_session.h);
-  /// 0 or 1 = one in-process pipeline. Requires a shardable algorithm
-  /// and no fault schedule when > 1.
+  /// Worker fan-out behind the session (engine::SessionConfig::workers);
+  /// 0 or 1 = one pipeline. Requires a shardable algorithm and no fault
+  /// schedule when > 1.
   uint32_t workers = 0;
   std::optional<FaultSchedule> faults;
 };

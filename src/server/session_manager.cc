@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/sharded_session.h"
-
 namespace setcover {
 namespace server {
 namespace {
@@ -72,30 +70,22 @@ std::string SessionManager::ManifestPath(uint64_t id) const {
   return state_dir_ + "/" + std::to_string(id) + ".open";
 }
 
-void SessionManager::RemoveSidecars(uint64_t id, uint32_t workers) const {
-  const std::string stem = CheckpointPath(id);
-  std::remove(stem.c_str());
-  for (uint32_t w = 0; w < workers; ++w)
-    std::remove(engine::ShardedSession::SidecarPath(stem, w).c_str());
+void SessionManager::RemoveSidecars(uint64_t id) const {
+  std::remove(CheckpointPath(id).c_str());
   std::remove(ManifestPath(id).c_str());
 }
 
-std::unique_ptr<engine::SessionHandle> SessionManager::BuildSession(
+std::unique_ptr<engine::Session> SessionManager::BuildSession(
     uint64_t id, const OpenBody& open, bool resume, std::string* error) {
   engine::SessionConfig config;
   config.algorithm = open.algorithm;
   config.options.seed = open.seed;
   config.meta = open.meta;
   config.faults = open.faults;
+  config.workers = open.workers;
   if (!state_dir_.empty()) {
     config.checkpoint_path = CheckpointPath(id);
     config.checkpoint_every = open.checkpoint_every;
-  }
-  if (open.workers > 1) {
-    engine::ShardedSessionConfig sharded;
-    sharded.base = std::move(config);
-    sharded.workers = open.workers;
-    return engine::ShardedSession::Open(sharded, resume, error);
   }
   return engine::Session::Open(config, resume, error);
 }
@@ -135,7 +125,6 @@ Message SessionManager::HandleOpen(const Message& request) {
                                     &error);
       if (entry->session == nullptr)
         return MakeError(id, "session recovery failed: " + error);
-      entry->workers = persisted->open.workers;
       it = sessions_.emplace(id, std::move(entry)).first;
     }
   }
@@ -145,7 +134,7 @@ Message SessionManager::HandleOpen(const Message& request) {
     // server crash): report the durable cursor so the client resumes
     // sending from last_sequence + 1.
     it->second->last_touch = clock_();
-    engine::SessionHandle& session = *it->second->session;
+    engine::Session& session = *it->second->session;
     reply.resumed = true;
     reply.last_sequence = session.LastSequence();
     reply.edges_delivered = session.Stats().edges_delivered;
@@ -166,7 +155,6 @@ Message SessionManager::HandleOpen(const Message& request) {
     if (!state_dir_.empty()) std::remove(ManifestPath(id).c_str());
     return MakeError(id, error);
   }
-  entry->workers = request.open.workers;
   entry->last_touch = clock_();
   sessions_.emplace(id, std::move(entry));
   reply.resumed = false;
@@ -198,7 +186,6 @@ std::shared_ptr<SessionManager::Entry> SessionManager::FindOrRecover(
       entry->session =
           BuildSession(id, persisted->open, /*resume=*/true, error);
       if (entry->session == nullptr) return nullptr;
-      entry->workers = persisted->open.workers;
       entry->last_touch = clock_();
       return sessions_.emplace(id, std::move(entry)).first->second;
     }
@@ -210,30 +197,12 @@ std::shared_ptr<SessionManager::Entry> SessionManager::FindOrRecover(
 
 Message SessionManager::HandleClose(const Message& request) {
   const uint64_t id = request.session_id;
-  uint32_t workers = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sessions_.find(id);
-    if (it != sessions_.end()) {
-      workers = it->second->workers;
-      sessions_.erase(it);
-    }
+    sessions_.erase(id);
     evicted_.erase(id);  // close ends the session; no retry gate needed
   }
-  if (!state_dir_.empty()) {
-    if (workers == 0) {
-      // The session may live only on disk (evicted, or another server
-      // incarnation opened it); the manifest knows its fan-out.
-      std::vector<uint8_t> manifest;
-      if (ReadFile(ManifestPath(id), &manifest)) {
-        std::string error;
-        std::optional<Message> persisted = DecodeMessage(manifest, &error);
-        if (persisted && persisted->type == MessageType::kOpen)
-          workers = persisted->open.workers;
-      }
-    }
-    RemoveSidecars(id, workers);
-  }
+  if (!state_dir_.empty()) RemoveSidecars(id);
   Message reply;  // idempotent: closing an unknown id succeeds
   reply.type = MessageType::kCloseOk;
   reply.session_id = id;
@@ -270,7 +239,7 @@ Message SessionManager::Handle(const Message& request) {
   std::shared_ptr<Entry> entry = FindOrRecover(request.session_id, &error);
   if (entry == nullptr) return MakeError(request.session_id, error);
   std::lock_guard<std::mutex> session_lock(entry->mutex);
-  engine::SessionHandle& session = *entry->session;
+  engine::Session& session = *entry->session;
 
   Message reply;
   reply.session_id = request.session_id;

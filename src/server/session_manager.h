@@ -17,16 +17,10 @@ namespace setcover {
 namespace server {
 
 /// Owns every live ingest session, keyed by client-chosen session id,
-/// and maps decoded protocol requests onto engine::SessionHandle calls.
+/// and maps decoded protocol requests onto engine::Session calls.
 /// Transport-agnostic: the server hands it Messages from scheduler
-/// threads; tests can drive it directly.
-///
-/// Execution substrate: OpenBody::workers picks the handle behind an
-/// id — one in-process engine::Session (workers <= 1), or an
-/// engine::ShardedSession fanning each batch across W set-partitioned
-/// sub-sessions merged through the deterministic t-party protocol.
-/// Either way the manager speaks only SessionHandle, so one daemon
-/// serves both.
+/// threads; tests can drive it directly. OpenBody::workers becomes
+/// SessionConfig::workers: one engine::Session serves any fan-out.
 ///
 /// Durability: with a state_dir, each session persists two sidecar
 /// files —
@@ -34,9 +28,8 @@ namespace server {
 ///                           exactly what the client declared)
 ///   <state_dir>/<id>.sckp   the engine checkpoint (state + exactly-once
 ///                           cursor), rewritten every checkpoint_every
-///                           delivered edges and on drain; sharded
-///                           sessions write one per worker
-///                           (<id>.sckp.w<k>)
+///                           delivered edges and on drain; at
+///                           workers > 1 it holds all W slots (SCSH)
 /// A restarted manager recovers a session *on demand*, the first time
 /// any op names an id it does not hold in memory: manifest -> config,
 /// checkpoint -> state. A session that crashed before its first
@@ -93,28 +86,25 @@ class SessionManager {
  private:
   struct Entry {
     std::mutex mutex;
-    std::unique_ptr<engine::SessionHandle> session;
-    /// Worker fan-out declared at open (sidecar cleanup needs it).
-    uint32_t workers = 0;
+    std::unique_ptr<engine::Session> session;
     /// Last Handle() that named this session, under the eviction clock.
     Clock::time_point last_touch;
   };
 
   std::string CheckpointPath(uint64_t id) const;
   std::string ManifestPath(uint64_t id) const;
-  void RemoveSidecars(uint64_t id, uint32_t workers) const;
+  void RemoveSidecars(uint64_t id) const;
 
   /// Finds the entry for `id`, recovering it from the manifest when the
   /// manager does not hold it in memory. nullptr with *error when the
   /// id is unknown (no memory entry, no manifest).
   std::shared_ptr<Entry> FindOrRecover(uint64_t id, std::string* error);
 
-  /// Builds a session handle from an OpenBody (fresh or resumed):
-  /// Session at workers <= 1, ShardedSession above.
-  std::unique_ptr<engine::SessionHandle> BuildSession(uint64_t id,
-                                                      const OpenBody& open,
-                                                      bool resume,
-                                                      std::string* error);
+  /// Builds a session from an OpenBody (fresh or resumed).
+  std::unique_ptr<engine::Session> BuildSession(uint64_t id,
+                                                const OpenBody& open,
+                                                bool resume,
+                                                std::string* error);
 
   /// One-shot kRetryAfter gate for evicted ids; nullopt admits the
   /// request. Caller holds mutex_.

@@ -4,7 +4,7 @@
 // sidecars they write mid-run are byte-identical files at W = 1 (plain
 // SCKP), and a W = 3 run writes an SCSH sidecar. Plus: stream
 // schedules (multi-pass and sliding-window) as composable sources at
-// any name, the ShardedSession push-side counterpart, name dispatch,
+// any name, the W > 1 Session push-side counterpart, name dispatch,
 // and the windowed-schedule checkpoint rejection.
 
 #include <algorithm>
@@ -20,7 +20,7 @@
 
 #include "core/registry.h"
 #include "engine/engine.h"
-#include "engine/sharded_session.h"
+#include "engine/session.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "stream/orderings.h"
@@ -267,8 +267,8 @@ TEST(BackendMatrixTest, WindowScheduleRejectsCheckpointing) {
       << report.error;
 }
 
-// ShardedSession — the push-side counterpart: ingesting the stream in
-// client-sized batches through W sub-sessions merges to the exact
+// The W > 1 Session — the push-side counterpart: ingesting the stream
+// in client-sized batches through W pipelines merges to the exact
 // engine::Execute result at the same (seed, W).
 TEST(BackendMatrixTest, ShardedSessionMatchesExecuteSharded) {
   Fixture fixture = MakePlantedFixture(451);
@@ -276,13 +276,13 @@ TEST(BackendMatrixTest, ShardedSessionMatchesExecuteSharded) {
       engine::Execute(BaseConfig("kk", fixture.stream, "sharded", 3));
   ASSERT_TRUE(expected.completed) << expected.error;
 
-  engine::ShardedSessionConfig config;
-  config.base.algorithm = "kk";
-  config.base.options.seed = 21;
-  config.base.meta = fixture.stream.meta;
+  engine::SessionConfig config;
+  config.algorithm = "kk";
+  config.options.seed = 21;
+  config.meta = fixture.stream.meta;
   config.workers = 3;
   std::string error;
-  auto session = engine::ShardedSession::Open(config, false, &error);
+  auto session = engine::Session::Open(config, false, &error);
   ASSERT_NE(session, nullptr) << error;
 
   uint64_t sequence = 0;
@@ -305,15 +305,15 @@ TEST(BackendMatrixTest, ShardedSessionMatchesExecuteSharded) {
 // positions are not stream positions, so (seed, position) fault
 // decisions would diverge from a whole-stream run.
 TEST(BackendMatrixTest, ShardedSessionRejectsFaultSchedules) {
-  engine::ShardedSessionConfig config;
-  config.base.algorithm = "kk";
-  config.base.meta = StreamMetadata{4, 4, 16};
+  engine::SessionConfig config;
+  config.algorithm = "kk";
+  config.meta = StreamMetadata{4, 4, 16};
   config.workers = 2;
   FaultSchedule faults;
   faults.duplicate_rate = 0.1;
-  config.base.faults = faults;
+  config.faults = faults;
   std::string error;
-  EXPECT_EQ(engine::ShardedSession::Open(config, false, &error), nullptr);
+  EXPECT_EQ(engine::Session::Open(config, false, &error), nullptr);
   EXPECT_NE(error.find("fault schedules"), std::string::npos) << error;
 }
 

@@ -209,7 +209,79 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SessionSweep,
                            return name;
                          });
 
+class ShardedSessionSweep : public testing::TestWithParam<std::string> {};
+
+// W > 1 kill/resume: a W = 3 session writes all three slots into one
+// sidecar at one cursor, so the reopened session reports that cursor,
+// dedupes the replayed prefix, and finishes bit-identical to
+// engine::Execute with backend.workers = 3. The sidecar only resumes at
+// the W it was written at.
+TEST_P(ShardedSessionSweep, KillResumeMatchesExecuteAtThreeWorkers) {
+  Fixture fixture = MakeFixture(101);
+  engine::RunConfig oracle;
+  oracle.algorithm = GetParam();
+  oracle.options.seed = 21;
+  oracle.source = engine::SourceSpec::InMemory(fixture.stream);
+  oracle.backend.workers = 3;
+  engine::RunReport expected = engine::Execute(oracle);
+  ASSERT_TRUE(expected.completed) << expected.error;
+
+  constexpr size_t kBatch = 16;
+  engine::SessionConfig config = BaseConfig(GetParam(), fixture);
+  config.workers = 3;
+  config.checkpoint_path = TempPath("sharded_resume_" + GetParam() + ".sckp");
+  config.checkpoint_every = kBatch;  // every batch checkpoints
+  std::string error;
+  auto first = engine::Session::Open(config, /*resume=*/false, &error);
+  ASSERT_NE(first, nullptr) << error;
+  const std::span<const Edge> edges(fixture.stream.edges);
+  for (uint64_t seq = 1; seq <= 5; ++seq) {
+    const engine::IngestResult result = first->Ingest(
+        seq, edges.subspan(size_t(seq - 1) * kBatch, kBatch), &error);
+    ASSERT_EQ(result.status, engine::IngestStatus::kApplied) << error;
+    ASSERT_EQ(result.checkpoints_written, 1u) << "seq=" << seq;
+  }
+  first.reset();  // the kill: no finalize, no drain checkpoint
+
+  auto resumed = engine::Session::Open(config, /*resume=*/true, &error);
+  ASSERT_NE(resumed, nullptr) << error;
+  EXPECT_TRUE(resumed->Resumed());
+  EXPECT_EQ(resumed->LastSequence(), 5u);
+  EXPECT_EQ(resumed->Ingest(1, edges.subspan(0, kBatch), &error).status,
+            engine::IngestStatus::kDuplicate);
+  FeedFrom(resumed.get(), fixture, kBatch);
+  const engine::RunReport& report = resumed->Finalize();
+  ASSERT_TRUE(report.completed) << report.error;
+  EXPECT_EQ(report.solution.cover, expected.solution.cover);
+  EXPECT_EQ(report.solution.certificate, expected.solution.certificate);
+  EXPECT_EQ(report.edges_delivered, expected.edges_delivered);
+
+  config.workers = 2;
+  EXPECT_EQ(engine::Session::Open(config, /*resume=*/true, &error), nullptr);
+  EXPECT_NE(error.find("3-shard run, not 2 shards"), std::string::npos)
+      << error;
+  std::remove(config.checkpoint_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardableAlgorithms, ShardedSessionSweep,
+                         testing::ValuesIn(ShardableAlgorithmNames()),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
+
 // --- Non-parameterized edge cases -----------------------------------
+
+TEST(Session, NonShardableAlgorithmIsRefusedAtThreeWorkers) {
+  Fixture fixture = MakeFixture(16);
+  engine::SessionConfig config = BaseConfig("store-everything-greedy", fixture);
+  config.workers = 3;
+  std::string error;
+  EXPECT_EQ(engine::Session::Open(config, /*resume=*/false, &error), nullptr);
+  EXPECT_NE(error.find("not shardable"), std::string::npos) << error;
+}
 
 TEST(Session, RejectsSequenceGapsAndAcknowledgesDuplicates) {
   Fixture fixture = MakeFixture(11);
@@ -254,6 +326,46 @@ TEST(Session, FinalizeIsIdempotentAndBlocksFurtherIngest) {
   EXPECT_EQ(&first, &second) << "finalize must return the cached report";
   EXPECT_EQ(session->Ingest(2, edges.subspan(0, 1), &error).status,
             engine::IngestStatus::kFailed);
+}
+
+// The W = 1 checkpoint cadence: a checkpoint is written at the first
+// batch boundary where at least checkpoint_every edges arrived since
+// the last one. With 60-edge batches and checkpoint_every = 100 that is
+// exactly after every even-numbered batch, and each batch is one
+// ProcessEdgeBatch call.
+TEST(Session, CheckpointCadenceWritesAfterEveryEvenBatch) {
+  Fixture fixture = MakeFixture(15);
+  constexpr size_t kBatch = 60;
+  const uint64_t batches = fixture.stream.size() / kBatch;
+  ASSERT_GE(batches, 4u);
+  engine::SessionConfig config =
+      BaseConfig(RegisteredAlgorithmNames().front(), fixture);
+  config.checkpoint_path = TempPath("cadence.sckp");
+  config.checkpoint_every = 100;
+  std::remove(config.checkpoint_path.c_str());
+
+  std::string error;
+  auto session = engine::Session::Open(config, /*resume=*/false, &error);
+  ASSERT_NE(session, nullptr) << error;
+  const std::span<const Edge> edges(fixture.stream.edges);
+  uint64_t written = 0, last_even = 0;
+  for (uint64_t seq = 1; seq <= batches; ++seq) {
+    const engine::IngestResult result = session->Ingest(
+        seq, edges.subspan(size_t(seq - 1) * kBatch, kBatch), &error);
+    ASSERT_EQ(result.status, engine::IngestStatus::kApplied) << error;
+    EXPECT_EQ(result.checkpoints_written, seq % 2 == 0 ? 1u : 0u)
+        << "seq=" << seq;
+    written += result.checkpoints_written;
+    if (seq % 2 == 0) last_even = seq;
+  }
+  EXPECT_EQ(session->Stats().checkpoints_written, written);
+  EXPECT_EQ(session->Stats().batches, batches);
+  session.reset();
+
+  auto reopened = engine::Session::Open(config, /*resume=*/true, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->LastSequence(), last_even);
+  std::remove(config.checkpoint_path.c_str());
 }
 
 TEST(Session, ResumeWithoutCheckpointFileStartsFresh) {

@@ -528,6 +528,62 @@ TEST(SessionEviction, VolatileSessionsAreNeverEvicted) {
   EXPECT_EQ(harness.manager->OpenSessions(), 1u);
 }
 
+// A workers = 3 session evicts and recovers like a single-pipeline one:
+// the retry rebuilds all three pipelines from the sidecar at one cursor,
+// the run ends at the W = 3 oracle, and kClose removes every file the
+// session left in the state dir.
+TEST(SessionEviction, ShardedSessionEvictsRecoversAndCloseRemovesItsFiles) {
+  Fixture fixture = MakeFixture(239);
+  engine::RunConfig oracle_config;
+  oracle_config.algorithm = "kk";
+  oracle_config.options.seed = 21;
+  oracle_config.source = engine::SourceSpec::InMemory(fixture.stream);
+  oracle_config.backend.workers = 3;
+  engine::RunReport expected = engine::Execute(oracle_config);
+  ASSERT_TRUE(expected.completed) << expected.error;
+  EvictionHarness harness("sharded");
+
+  OpenBody open = MakeOpen("kk", 21, fixture);
+  open.workers = 3;
+  ASSERT_EQ(harness.manager->Handle(OpenMessage(11, open)).type,
+            MessageType::kOpenOk);
+  const size_t half = fixture.stream.edges.size() / 2;
+  ASSERT_EQ(harness.manager
+                ->Handle(IngestMessage(11, 1,
+                                       {fixture.stream.edges.begin(),
+                                        fixture.stream.edges.begin() + half}))
+                .type,
+            MessageType::kIngestOk);
+  harness.AdvanceSeconds(120);
+  EXPECT_EQ(harness.manager->EvictIdle(std::chrono::seconds(60)), 1u);
+
+  Message tail = IngestMessage(
+      11, 2, {fixture.stream.edges.begin() + half, fixture.stream.edges.end()});
+  Message shed = harness.manager->Handle(tail);
+  ASSERT_EQ(shed.type, MessageType::kRetryAfter);
+  EXPECT_EQ(shed.retry_reason, RetryReason::kEvicted);
+  Message applied = harness.manager->Handle(tail);
+  ASSERT_EQ(applied.type, MessageType::kIngestOk) << applied.error;
+  EXPECT_FALSE(applied.duplicate);
+
+  Message finalize;
+  finalize.type = MessageType::kFinalize;
+  finalize.session_id = 11;
+  Message reply = harness.manager->Handle(finalize);
+  ASSERT_EQ(reply.type, MessageType::kFinalizeOk) << reply.error;
+  EXPECT_EQ(reply.cover, ToU32(expected.solution.cover));
+  EXPECT_EQ(reply.certificate, ToU32(expected.solution.certificate));
+
+  Message close;
+  close.type = MessageType::kClose;
+  close.session_id = 11;
+  ASSERT_EQ(harness.manager->Handle(close).type, MessageType::kCloseOk);
+  for (const auto& file : std::filesystem::directory_iterator(harness.dir)) {
+    EXPECT_NE(file.path().filename().string().rfind("11.", 0), 0u)
+        << "left behind: " << file.path();
+  }
+}
+
 // --- Sharded sessions over the wire (OpenBody::workers) --------------
 
 // One daemon, both substrates: a session opened with workers = 3 runs
