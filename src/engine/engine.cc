@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <ctime>
 #include <memory>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "engine/shards.h"
 #include "run/checkpoint.h"
 #include "stream/edge.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace setcover {
@@ -23,6 +25,7 @@ using internal::AggregateCheckpointWriter;
 using internal::CheckpointSink;
 using internal::Clock;
 using internal::KeepAll;
+using internal::MaskOwner;
 using internal::Pump;
 using internal::Seconds;
 
@@ -71,9 +74,10 @@ bool ValidateRunConfig(const RunConfig& config, uint32_t workers,
 
 /// The batcher of the fast loops, for one shard. Under KeepAll (W = 1)
 /// input spans reach the pump in place, cut at `batch_edges` — zero
-/// copy. Under a partitioning owner the shard's edges are compacted into
-/// `pending` and flushed every `batch_edges` edges, so a shard sees the
-/// batch boundaries a lone pipeline over its slice would.
+/// copy. Under a partitioning owner the shard screens its slice out of
+/// the input `batch_edges` edges at a time, appending it to `pending`,
+/// and flushes every `batch_edges` edges, so a shard sees the batch
+/// boundaries a lone pipeline over its slice would.
 template <typename Owner>
 struct FastBatcher {
   Pump& pump;
@@ -83,7 +87,10 @@ struct FastBatcher {
   /// Route the first batch through RunStream's debug-build equivalence
   /// spot-check.
   bool spot_check;
+  /// Room for one batch plus one screened input slice; [0, filled)
+  /// holds the edges not yet flushed.
   std::vector<Edge> pending;
+  size_t filled = 0;
 
   void Process(std::span<const Edge> batch) {
 #ifndef NDEBUG
@@ -100,21 +107,52 @@ struct FastBatcher {
       for (size_t at = 0; at < input.size(); at += batch_edges)
         Process(input.subspan(at, std::min(batch_edges, input.size() - at)));
     } else {
-      pending.reserve(batch_edges);
-      for (const Edge& e : input) {
-        if (owner(e.set) != shard) continue;
-        pending.push_back(e);
-        if (pending.size() == batch_edges) Flush();
+      pending.resize(2 * batch_edges);
+      for (size_t at = 0; at < input.size(); at += batch_edges) {
+        // filled < batch_edges before the screen, so one slice adds at
+        // most one full batch.
+        filled += Screen(
+            input.subspan(at, std::min(batch_edges, input.size() - at)),
+            pending.data() + filled);
+        if (filled >= batch_edges) {
+          Process({pending.data(), batch_edges});
+          std::copy(pending.begin() + batch_edges, pending.begin() + filled,
+                    pending.begin());
+          filled -= batch_edges;
+        }
       }
     }
   }
 
+  /// Copies the shard's edges of `slice` to `out`, in order, and
+  /// returns how many; `out` has room for the whole slice.
+  size_t Screen(std::span<const Edge> slice, Edge* out) const {
+    if constexpr (std::is_same_v<Owner, MaskOwner>) {
+      return simd::Active().select_masked_pairs(
+          reinterpret_cast<const uint32_t*>(slice.data()), slice.size(),
+          owner.mask, shard, reinterpret_cast<uint32_t*>(out));
+    } else {
+      size_t found = 0;
+      for (const Edge& e : slice) {
+        out[found] = e;  // branch-free emit
+        found += owner(e.set) == shard ? 1 : 0;
+      }
+      return found;
+    }
+  }
+
   void Flush() {
-    if (pending.empty()) return;
-    Process(pending);
-    pending.clear();
+    if (filled == 0) return;
+    Process({pending.data(), filled});
+    filled = 0;
   }
 };
+
+// The mask owner's screen reads an Edge array as interleaved
+// (set, element) pairs.
+static_assert(sizeof(Edge) == 2 * sizeof(uint32_t) &&
+              offsetof(Edge, set) == 0 &&
+              offsetof(Edge, element) == sizeof(uint32_t));
 
 /// The in-memory fast loop: one walk over the shared edge span. At
 /// W = 1 it is RunStream's exact loop (same batch boundaries, same
@@ -125,7 +163,7 @@ void DriveInMemory(Pump& pump, const EdgeStream& stream, size_t batch_edges,
                    uint32_t shard, Owner owner) {
   const auto start = Clock::now();
   pump.Begin(stream.meta);
-  FastBatcher<Owner> batcher{pump, batch_edges, shard, owner, true, {}};
+  FastBatcher<Owner> batcher{pump, batch_edges, shard, owner, true, {}, 0};
   batcher.Feed(stream.edges);
   batcher.Flush();
   pump.report().stages.stream_seconds = Seconds(start);
@@ -144,7 +182,7 @@ void DriveFile(Pump& pump, BatchEdgeReader& reader, size_t batch_edges,
                uint32_t shard, Owner owner) {
   const auto start = Clock::now();
   pump.Begin(reader.Meta());
-  FastBatcher<Owner> batcher{pump, batch_edges, shard, owner, false, {}};
+  FastBatcher<Owner> batcher{pump, batch_edges, shard, owner, false, {}, 0};
   for (std::span<const Edge> batch = reader.NextBatch(); !batch.empty();
        batch = reader.NextBatch()) {
     batcher.Feed(batch);

@@ -112,7 +112,10 @@ struct RunReport {
   /// (stop_after) or a fatal error (see `error`).
   bool completed = false;
 
-  /// This run restored state from a checkpoint, at this position.
+  /// This run restored state from a checkpoint, at this stream
+  /// position. At W > 1 every shard's position indexes the whole
+  /// stream, and this is the earliest of them (shards that started
+  /// fresh count as 0); for a Session it is the cursor.
   bool resumed = false;
   uint64_t resumed_at = 0;
 
@@ -331,9 +334,11 @@ struct RunConfig {
 /// faults, no checkpointing, no kill switch, default batch size,
 /// trivial schedule) take the zero-copy fast loops — span-sliced
 /// batches for in-memory streams, chunk-aligned reader batches for
-/// files; a shard of a W > 1 run compacts its slice out of the same
-/// walk — which are bit-identical to the supervised loop; supervised
-/// configurations run each shard under Drive().
+/// files; each shard of a W > 1 run walks the whole source once and
+/// screens its slice out of it (a SIMD kernel under the power-of-two
+/// mask owner) into full batches — which are bit-identical to the
+/// supervised loop; supervised configurations run each shard under
+/// Drive().
 RunReport Execute(const RunConfig& config);
 
 }  // namespace engine

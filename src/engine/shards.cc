@@ -1,7 +1,7 @@
 #include "engine/shards.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 #include <utility>
 
 #include "comm/deterministic_protocol.h"
@@ -83,24 +83,64 @@ CertificateMerge MergeCertificates(
                                              : locals[0]->certificate.size());
   // Each party's certified (set -> covered elements) groups become the
   // candidate sets of a t = W party instance — the partitioner makes
-  // candidates party-disjoint.
-  std::vector<std::vector<ElementId>> candidate_elems;
+  // candidates party-disjoint. Candidates are numbered in order of first
+  // appearance (party-major, elements ascending) and owned by the first
+  // party that certified them, so a set two parties certify (which no
+  // pure partitioner produces) is one candidate holding both parties'
+  // elements. One flat open-addressing index (linear probing, load
+  // ≤ 1/2) maps set -> candidate, and the (candidate, element) edges go
+  // straight to FromEdges. A certificate names only sets of its party's
+  // cover, so the index starts sized for Σ|cover| candidates; it still
+  // doubles whenever the load would pass 1/2.
+  size_t certified = 0;
+  size_t cover_sets = 0;
+  for (const CoverSolution* local : locals) {
+    cover_sets += local->cover.size();
+    for (SetId s : local->certificate) certified += s != kNoSet ? 1 : 0;
+  }
+  struct Slot {
+    SetId set;  // kNoSet marks an empty slot
+    uint32_t candidate;
+  };
+  int bits = std::bit_width(std::min(cover_sets, certified)) + 1;
+  std::vector<Slot> index;
   std::vector<SetId> candidate_set;
   std::vector<uint32_t> candidate_owner;
-  std::unordered_map<SetId, size_t> candidate_index;
+  auto slot_of = [&](SetId s) {
+    // Fibonacci hashing: the top bits of s·2^64/φ spread the
+    // partitioner's shared low bits across the table.
+    size_t at = size_t((uint64_t{s} * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+    while (index[at].set != s && index[at].set != kNoSet) {
+      at = (at + 1) & (index.size() - 1);
+    }
+    return at;
+  };
+  auto rebuild = [&] {
+    index.assign(size_t{1} << bits, Slot{kNoSet, 0});
+    for (uint32_t c = 0; c < candidate_set.size(); ++c) {
+      index[slot_of(candidate_set[c])] = {candidate_set[c], c};
+    }
+  };
+  rebuild();
+  std::vector<Edge> edges;
+  edges.reserve(certified);
   for (uint32_t w = 0; w < locals.size(); ++w) {
     const std::vector<SetId>& certificate = locals[w]->certificate;
     for (ElementId u = 0; u < certificate.size(); ++u) {
       const SetId s = certificate[u];
       if (s == kNoSet) continue;
-      auto [it, inserted] =
-          candidate_index.try_emplace(s, candidate_elems.size());
-      if (inserted) {
-        candidate_elems.emplace_back();
+      size_t at = slot_of(s);
+      if (index[at].set == kNoSet) {
+        if (2 * (candidate_set.size() + 1) > index.size()) {
+          ++bits;
+          rebuild();
+          at = slot_of(s);
+        }
+        index[at] = {s, uint32_t(candidate_set.size())};
         candidate_set.push_back(s);
         candidate_owner.push_back(w);
       }
-      candidate_elems[it->second].push_back(u);
+      edges.push_back({index[at].candidate, u});
     }
   }
 
@@ -116,13 +156,13 @@ CertificateMerge MergeCertificates(
   merge.message_words_bound =
       BitsToWords(n) + n + (tau > 0 ? (n + tau - 1) / tau : 0);
 
-  if (candidate_elems.empty()) {
+  if (candidate_set.empty()) {
     merge.solution.cover.clear();
     merge.solution.certificate.assign(n, kNoSet);
     return merge;
   }
-  SetCoverInstance merged =
-      SetCoverInstance::FromSets(n, std::move(candidate_elems));
+  const SetCoverInstance merged = SetCoverInstance::FromEdges(
+      n, uint32_t(candidate_set.size()), edges);
   DeterministicProtocolResult protocol =
       RunDeterministicProtocol(merged, candidate_owner, parties, tau);
   merge.max_message_words = protocol.max_message_words;
@@ -180,7 +220,11 @@ void AggregateShardReports(RunReport* report,
     report->corrupt_records_skipped += shard.corrupt_records_skipped;
     report->faults_survived += shard.faults_survived;
     report->resumed = report->resumed || shard.resumed;
-    report->resumed_at += shard.resumed_at;
+    // Every shard's position indexes the whole stream: the run picked
+    // up where its earliest shard did.
+    report->resumed_at = w == 0 ? shard.resumed_at
+                                : std::min(report->resumed_at,
+                                           shard.resumed_at);
     report->degraded = report->degraded || shard.degraded;
     // W pipelines run concurrently: the slowest shard is the stage's
     // wall-clock; batches and space add up (the run really holds W

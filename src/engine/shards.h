@@ -22,10 +22,11 @@ namespace internal {
 
 using CheckpointSink = std::function<bool(const Checkpoint&, std::string*)>;
 
-// Owner functors for the hot compaction loops: W = 1 owns everything
-// (the fast loops then skip compaction altogether), the set-modulo
-// default compiles to a mask (power-of-two W) or one integer modulo per
-// edge; only custom partitioners pay a std::function call.
+// Owner functors for the fast loops' shard screens: W = 1 owns
+// everything (the fast loops then skip the screen altogether), the
+// set-modulo default is a mask at power-of-two W (screened by the
+// select_masked_pairs SIMD kernel) and one integer modulo per edge
+// otherwise; only custom partitioners pay a std::function call.
 struct KeepAll {
   uint32_t operator()(SetId) const { return 0; }
 };

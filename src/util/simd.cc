@@ -90,6 +90,19 @@ __attribute__((always_inline)) inline size_t LessThanIndicesBody(
   return found;
 }
 
+__attribute__((always_inline)) inline size_t SelectMaskedPairsBody(
+    const uint32_t* pairs, size_t count, uint32_t mask, uint32_t value,
+    uint32_t* out_pairs) {
+  size_t found = 0;
+  for (size_t i = 0; i < count; ++i) {
+    // Branch-free emit: every pair is written at the cursor, and only a
+    // hit advances it.
+    std::memcpy(out_pairs + 2 * found, pairs + 2 * i, 2 * sizeof(uint32_t));
+    found += (pairs[2 * i] & mask) == value ? 1 : 0;
+  }
+  return found;
+}
+
 // ---------------------------------------------------------------------
 // Scalar tier.
 
@@ -117,9 +130,16 @@ size_t LessThanIndicesScalar(const double* values, size_t count,
   return LessThanIndicesBody(values, count, threshold, out_indices);
 }
 
+size_t SelectMaskedPairsScalar(const uint32_t* pairs, size_t count,
+                               uint32_t mask, uint32_t value,
+                               uint32_t* out_pairs) {
+  return SelectMaskedPairsBody(pairs, count, mask, value, out_pairs);
+}
+
 constexpr Kernels kScalarKernels = {
-    GatherBitsScalar,    GatherEqualU32Scalar,  PopcountWordsScalar,
-    PopcountAndnotScalar, LessThanIndicesScalar, Crc32cPortable,
+    GatherBitsScalar,      GatherEqualU32Scalar,    PopcountWordsScalar,
+    PopcountAndnotScalar,  LessThanIndicesScalar,   SelectMaskedPairsScalar,
+    Crc32cPortable,
 };
 
 #ifdef SETCOVER_SIMD_X86
@@ -176,9 +196,16 @@ __attribute__((target("sse4.2,popcnt"))) size_t LessThanIndicesSse42(
   return LessThanIndicesBody(values, count, threshold, out_indices);
 }
 
+__attribute__((target("sse4.2,popcnt"))) size_t SelectMaskedPairsSse42(
+    const uint32_t* pairs, size_t count, uint32_t mask, uint32_t value,
+    uint32_t* out_pairs) {
+  return SelectMaskedPairsBody(pairs, count, mask, value, out_pairs);
+}
+
 constexpr Kernels kSse42Kernels = {
-    GatherBitsSse42,    GatherEqualU32Sse42,  PopcountWordsSse42,
-    PopcountAndnotSse42, LessThanIndicesSse42, Crc32cSse42,
+    GatherBitsSse42,      GatherEqualU32Sse42,    PopcountWordsSse42,
+    PopcountAndnotSse42,  LessThanIndicesSse42,   SelectMaskedPairsSse42,
+    Crc32cSse42,
 };
 
 // ---------------------------------------------------------------------
@@ -284,9 +311,60 @@ __attribute__((target("avx2"))) size_t LessThanIndicesAvx2(
   return found;
 }
 
+// permutevar8x32 lane indices per 4-bit hit mask: the hit pairs (two
+// 32-bit lanes each) move to the front, in order; the rest is don't-care.
+struct PairCompressTable {
+  alignas(32) uint32_t lanes[16][8];
+};
+
+constexpr PairCompressTable MakePairCompressTable() {
+  PairCompressTable table{};
+  for (unsigned hits = 0; hits < 16; ++hits) {
+    unsigned to = 0;
+    for (unsigned pair = 0; pair < 4; ++pair) {
+      if ((hits >> pair & 1) == 0) continue;
+      table.lanes[hits][2 * to] = 2 * pair;
+      table.lanes[hits][2 * to + 1] = 2 * pair + 1;
+      ++to;
+    }
+  }
+  return table;
+}
+
+constexpr PairCompressTable kPairCompress = MakePairCompressTable();
+
+__attribute__((target("avx2,popcnt"))) size_t SelectMaskedPairsAvx2(
+    const uint32_t* pairs, size_t count, uint32_t mask, uint32_t value,
+    uint32_t* out_pairs) {
+  // One 64-bit lane per pair, set id in the low half (x86 is little
+  // endian); the zero high halves of mask and value drop the element.
+  const __m256i kMask = _mm256_set1_epi64x(int64_t{mask});
+  const __m256i kValue = _mm256_set1_epi64x(int64_t{value});
+  size_t found = 0;
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256i four =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs + 2 * i));
+    const __m256i hit =
+        _mm256_cmpeq_epi64(_mm256_and_si256(four, kMask), kValue);
+    const unsigned hits =
+        unsigned(_mm256_movemask_pd(_mm256_castsi256_pd(hit)));
+    const __m256i lanes = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPairCompress.lanes[hits]));
+    // A full 4-pair store at found <= i stays inside out_pairs' `count`
+    // pairs; the lanes past the hits are overwritten or unspecified.
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_pairs + 2 * found),
+                        _mm256_permutevar8x32_epi32(four, lanes));
+    found += unsigned(std::popcount(hits));
+  }
+  return found + SelectMaskedPairsBody(pairs + 2 * i, count - i, mask, value,
+                                       out_pairs + 2 * found);
+}
+
 constexpr Kernels kAvx2Kernels = {
-    GatherBitsAvx2,    GatherEqualU32Avx2,  PopcountWordsAvx2,
-    PopcountAndnotAvx2, LessThanIndicesAvx2, Crc32cSse42,
+    GatherBitsAvx2,      GatherEqualU32Avx2,    PopcountWordsAvx2,
+    PopcountAndnotAvx2,  LessThanIndicesAvx2,   SelectMaskedPairsAvx2,
+    Crc32cSse42,
 };
 
 #endif  // SETCOVER_SIMD_X86

@@ -70,6 +70,16 @@ struct Kernels {
   size_t (*less_than_indices_f64)(const double* values, size_t count,
                                   double threshold, uint32_t* out_indices);
 
+  /// Owner screen over interleaved (set, element) pairs — pairs[2i] a
+  /// set id, pairs[2i + 1] its element, the memory layout of an Edge
+  /// array: copies, in order, the pairs whose set & mask == value to
+  /// out_pairs and returns how many. out_pairs holds `count` pairs;
+  /// pairs past the returned count are unspecified. The slice screen
+  /// of a power-of-two W-way set partition.
+  size_t (*select_masked_pairs)(const uint32_t* pairs, size_t count,
+                                uint32_t mask, uint32_t value,
+                                uint32_t* out_pairs);
+
   /// CRC-32C (Castagnoli) with the Crc32c seed contract; the scalar
   /// tier is the table-driven portable implementation, SSE4.2+ the
   /// crc32 instruction. util/crc32.cc routes through this.

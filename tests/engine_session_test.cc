@@ -255,6 +255,7 @@ TEST_P(ShardedSessionSweep, KillResumeMatchesExecuteAtThreeWorkers) {
   EXPECT_EQ(report.solution.cover, expected.solution.cover);
   EXPECT_EQ(report.solution.certificate, expected.solution.certificate);
   EXPECT_EQ(report.edges_delivered, expected.edges_delivered);
+  EXPECT_EQ(report.resumed_at, 5 * kBatch);  // the cursor, not W times it
 
   config.workers = 2;
   EXPECT_EQ(engine::Session::Open(config, /*resume=*/true, &error), nullptr);

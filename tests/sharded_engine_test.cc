@@ -7,27 +7,39 @@
 // within the recorded O~(n) bound; (c) kill-and-resume mid-ingest
 // through the ONE aggregate checkpoint file reproduces the unkilled
 // run byte-for-byte. Plus: thread-count invisibility, file/in-memory
-// agreement, the partitioner seam, and the sharded checkpoint format
-// itself.
+// agreement, the fast loops against the supervised path under every
+// owner, the partitioner seam, the certificate merge against its
+// reference candidate build, and the sharded checkpoint format itself.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "comm/deterministic_protocol.h"
+#include "comm/protocol.h"
 #include "core/registry.h"
 #include "engine/engine.h"
+#include "engine/shards.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "offline/greedy.h"
 #include "run/checkpoint.h"
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -51,8 +63,10 @@ Fixture MakePlantedFixture(uint64_t seed) {
   return fixture;
 }
 
+// PID-qualified: the forced-SIMD-tier ctest matrix runs several
+// instances of this binary concurrently on the same TempDir.
 std::string TempPath(const std::string& tag) {
-  std::string name = "sharded_" + tag;
+  std::string name = "sharded_" + std::to_string(getpid()) + "_" + tag;
   for (char& c : name)
     if (c == '-') c = '_';
   return testing::TempDir() + name;
@@ -176,6 +190,15 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
     ASSERT_TRUE(killed.error.empty()) << context << ": " << killed.error;
     ASSERT_FALSE(killed.completed) << context;
     ASSERT_GE(killed.checkpoints_written, uint64_t{shards}) << context;
+    std::string error;
+    const std::optional<ShardedCheckpoint> slots =
+        LoadShardedCheckpoint(path, &error);
+    ASSERT_TRUE(slots.has_value()) << context << ": " << error;
+    uint64_t earliest = UINT64_MAX;
+    for (const std::optional<Checkpoint>& slot : slots->shard_states) {
+      ASSERT_TRUE(slot.has_value()) << context;
+      earliest = std::min<uint64_t>(earliest, slot->stream_position);
+    }
 
     engine::RunConfig resume = base;
     resume.options.seed = 999;  // must be ignored: state is on disk
@@ -185,10 +208,84 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
     engine::RunReport resumed = engine::Execute(resume);
     ASSERT_TRUE(resumed.completed) << context << ": " << resumed.error;
     EXPECT_TRUE(resumed.resumed) << context;
+    // Every slot position indexes the whole stream; the run reports the
+    // earliest, where its slowest shard picked up.
+    EXPECT_LE(resumed.resumed_at, fixture.stream.size()) << context;
+    EXPECT_EQ(resumed.resumed_at, earliest) << context;
     ExpectSameSolution(resumed, expected, context);
     EXPECT_EQ(resumed.sharded.shard_cover_sizes,
               expected.sharded.shard_cover_sizes)
         << context;
+  }
+  std::remove(path.c_str());
+}
+
+// The W > 1 fast loops against the supervised reference, under every
+// owner the fast loops specialise on: the mask (W = 2, 4, 8), the
+// modulo (W = 3) and a custom partitioner (W = 3), from memory and from
+// a v3 file. A kill switch past the end of the stream sends the same
+// config through Drive + ShardFilterSource, which cuts each shard's
+// slice at the same batch boundaries, so every report field those
+// boundaries reach must agree.
+TEST_P(ShardedSweep, FastLoopMatchesSupervisedAtEveryOwner) {
+  Rng rng(331);
+  PlantedCoverParams p;
+  p.num_elements = 2048;
+  p.num_sets = 28672;
+  p.planted_cover_size = 8;
+  Fixture fixture{GeneratePlantedCover(p, rng), {}};
+  fixture.stream = RandomOrderStream(fixture.instance, rng);
+  const std::string path = TempPath("owners_" + GetParam() + ".bin");
+  std::string error;
+  ASSERT_TRUE(
+      WriteStreamFile(fixture.stream, path, StreamFormat::kV3, &error))
+      << error;
+
+  engine::ShardPartitioner set_div;
+  set_div.name = "set-div";
+  set_div.index = [](SetId s, uint32_t shards) { return (s / 7) % shards; };
+  const std::pair<uint32_t, engine::ShardPartitioner> owners[] = {
+      {2, engine::SetModuloPartitioner()},
+      {3, engine::SetModuloPartitioner()},
+      {4, engine::SetModuloPartitioner()},
+      {8, engine::SetModuloPartitioner()},
+      {3, set_div},
+  };
+  for (const bool from_file : {false, true}) {
+    for (const auto& [shards, partitioner] : owners) {
+      const std::string context = GetParam() + " W=" +
+                                  std::to_string(shards) + " " +
+                                  partitioner.name +
+                                  (from_file ? " file" : " memory");
+      engine::RunConfig fast =
+          BaseConfig(GetParam(), fixture.stream, shards);
+      fast.backend.partitioner = partitioner;
+      if (from_file) fast.source = engine::SourceSpec::File(path);
+      engine::RunConfig supervised = fast;
+      supervised.stop_after = fixture.stream.size() + 1;
+
+      const engine::RunReport expected = engine::Execute(supervised);
+      ASSERT_TRUE(expected.completed) << context << ": " << expected.error;
+      const engine::RunReport report = engine::Execute(fast);
+      ASSERT_TRUE(report.completed) << context << ": " << report.error;
+
+      EXPECT_EQ(report.solution.cover, expected.solution.cover) << context;
+      EXPECT_EQ(report.solution.certificate, expected.solution.certificate)
+          << context;
+      EXPECT_EQ(report.peak_words, expected.peak_words) << context;
+      EXPECT_EQ(report.stages.batches, expected.stages.batches) << context;
+      EXPECT_EQ(report.sharded.shard_edges, expected.sharded.shard_edges)
+          << context;
+      EXPECT_EQ(report.sharded.max_message_words,
+                expected.sharded.max_message_words)
+          << context;
+      if (shards == 8) {
+        ASSERT_GE(*std::min_element(report.sharded.shard_edges.begin(),
+                                    report.sharded.shard_edges.end()),
+                  3 * kIngestBatchEdges)
+            << context;
+      }
+    }
   }
   std::remove(path.c_str());
 }
@@ -392,6 +489,141 @@ TEST(ShardedCheckpointTest, RoundTripAndDamageRejection) {
   std::remove(path.c_str());
   std::remove((path + ".bad").c_str());
   std::remove(single_path.c_str());
+}
+
+// The reference candidate build for MergeCertificates: a hash map from
+// set to candidate, one element vector per candidate, and FromSets.
+// The merge must reproduce it exactly.
+engine::internal::CertificateMerge ReferenceMerge(
+    const std::vector<const CoverSolution*>& locals, uint32_t parties,
+    uint32_t merge_threshold_override) {
+  engine::internal::CertificateMerge merge;
+  const uint32_t n = uint32_t(locals.empty() ? 0
+                                             : locals[0]->certificate.size());
+  std::vector<std::vector<ElementId>> candidate_elems;
+  std::vector<SetId> candidate_set;
+  std::vector<uint32_t> candidate_owner;
+  std::unordered_map<SetId, size_t> candidate_index;
+  for (uint32_t w = 0; w < locals.size(); ++w) {
+    const std::vector<SetId>& certificate = locals[w]->certificate;
+    for (ElementId u = 0; u < certificate.size(); ++u) {
+      const SetId s = certificate[u];
+      if (s == kNoSet) continue;
+      auto [it, inserted] =
+          candidate_index.try_emplace(s, candidate_elems.size());
+      if (inserted) {
+        candidate_elems.emplace_back();
+        candidate_set.push_back(s);
+        candidate_owner.push_back(w);
+      }
+      candidate_elems[it->second].push_back(u);
+    }
+  }
+  const uint32_t tau =
+      merge_threshold_override != 0
+          ? merge_threshold_override
+          : std::max<uint32_t>(1, uint32_t(ISqrt(uint64_t(n) * parties)));
+  merge.merge_threshold = tau;
+  merge.message_words_bound =
+      BitsToWords(n) + n + (tau > 0 ? (n + tau - 1) / tau : 0);
+  merge.solution.certificate.assign(n, kNoSet);
+  if (candidate_elems.empty()) return merge;
+  SetCoverInstance merged =
+      SetCoverInstance::FromSets(n, std::move(candidate_elems));
+  DeterministicProtocolResult protocol =
+      RunDeterministicProtocol(merged, candidate_owner, parties, tau);
+  merge.max_message_words = protocol.max_message_words;
+  merge.threshold_sets = protocol.threshold_sets;
+  merge.patched_sets = protocol.patched_sets;
+  for (SetId candidate : protocol.solution.cover) {
+    merge.solution.cover.push_back(candidate_set[candidate]);
+  }
+  for (ElementId u = 0; u < n; ++u) {
+    const SetId candidate = protocol.solution.certificate[u];
+    if (candidate != kNoSet) {
+      merge.solution.certificate[u] = candidate_set[candidate];
+    }
+  }
+  return merge;
+}
+
+void ExpectSameMerge(const engine::internal::CertificateMerge& actual,
+                     const engine::internal::CertificateMerge& expected,
+                     const std::string& context) {
+  EXPECT_EQ(actual.solution.cover, expected.solution.cover) << context;
+  EXPECT_EQ(actual.solution.certificate, expected.solution.certificate)
+      << context;
+  EXPECT_EQ(actual.merge_threshold, expected.merge_threshold) << context;
+  EXPECT_EQ(actual.threshold_sets, expected.threshold_sets) << context;
+  EXPECT_EQ(actual.patched_sets, expected.patched_sets) << context;
+  EXPECT_EQ(actual.max_message_words, expected.max_message_words)
+      << context;
+  EXPECT_EQ(actual.message_words_bound, expected.message_words_bound)
+      << context;
+}
+
+// Random party certificates over the set-modulo partition: party w
+// certifies elements with sets w, w + W, w + 2W, ... drawn from a pool
+// of `pool` sets, leaving `no_set_percent` of its elements uncertified.
+// Pool 1 gives single-set certificates, 100% gives all-kNoSet ones.
+TEST(MergeCertificatesTest, MatchesReferenceOnRandomCertificates) {
+  Rng rng(347);
+  const std::pair<uint32_t, uint32_t> shapes[] = {
+      {1, 0}, {1, 40}, {3, 10}, {64, 25}, {1u << 20, 0}, {1u << 20, 100},
+  };
+  for (uint32_t parties : {2u, 3u, 4u, 8u}) {
+    for (uint32_t n : {0u, 1u, 63u, 64u, 1000u}) {
+      for (const auto& [pool, no_set_percent] : shapes) {
+        std::vector<CoverSolution> solutions(parties);
+        for (uint32_t w = 0; w < parties; ++w) {
+          solutions[w].certificate.resize(n);
+          for (SetId& s : solutions[w].certificate) {
+            s = rng.UniformInt(100) < no_set_percent
+                    ? kNoSet
+                    : SetId(w + parties * rng.UniformInt(pool));
+          }
+        }
+        std::vector<const CoverSolution*> locals;
+        for (const CoverSolution& solution : solutions) {
+          locals.push_back(&solution);
+        }
+        for (uint32_t tau : {0u, 2u}) {
+          const std::string context =
+              "W=" + std::to_string(parties) + " n=" + std::to_string(n) +
+              " pool=" + std::to_string(pool) +
+              " no_set=" + std::to_string(no_set_percent) +
+              "% tau=" + std::to_string(tau);
+          ExpectSameMerge(
+              engine::internal::MergeCertificates(locals, parties, tau),
+              ReferenceMerge(locals, parties, tau), context);
+        }
+      }
+    }
+  }
+}
+
+// The merge does not rely on the parties' sets being disjoint (a pure
+// partitioner always makes them so): a set certified by two parties is
+// one candidate, owned by the first party that certified it, holding
+// every element either party certified.
+TEST(MergeCertificatesTest, SetCertifiedByTwoPartiesIsOneCandidate) {
+  std::vector<CoverSolution> solutions(2);
+  solutions[0].certificate = {4, 4, 6, 6, 6, 6, kNoSet, kNoSet};
+  solutions[1].certificate = {kNoSet, kNoSet, 4, 4, kNoSet, kNoSet, 5, 5};
+  const std::vector<const CoverSolution*> locals = {&solutions[0],
+                                                    &solutions[1]};
+  const engine::internal::CertificateMerge merge =
+      engine::internal::MergeCertificates(locals, 2, 0);
+  ExpectSameMerge(merge, ReferenceMerge(locals, 2, 0), "shared set");
+  // τ = √16 = 4. Set 4 is party 0's and holds elements 0–3, two of them
+  // certified by party 1, so party 0's turn takes it and set 6 no
+  // longer clears τ; owned by party 1, set 4 would lose to set 6.
+  EXPECT_EQ(merge.merge_threshold, 4u);
+  EXPECT_EQ(merge.solution.cover, (std::vector<SetId>{4, 6, 5}));
+  EXPECT_EQ(merge.solution.certificate,
+            (std::vector<SetId>{4, 4, 4, 4, 6, 6, 5, 5}));
+  EXPECT_EQ(merge.threshold_sets, 1u);
+  EXPECT_EQ(merge.patched_sets, 2u);
 }
 
 }  // namespace

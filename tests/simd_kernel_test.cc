@@ -164,6 +164,79 @@ TEST(SimdKernelTest, LessThanIndicesMatchesScalarAtEveryTier) {
   }
 }
 
+TEST(SimdKernelTest, SelectMaskedPairsMatchesScalarAtEveryTier) {
+  Rng rng(6);
+  // Every sub-vector remainder, plus a kIngestBatchEdges-sized slice and
+  // its neighbours.
+  std::vector<size_t> counts = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  counts.insert(counts.end(), {4095, 4096, 4097});
+  enum class Hits { kNone, kSome, kAll };
+  for (simd::Level level : TestableLevels()) {
+    const simd::Kernels& kernels = simd::ForLevel(level);
+    for (size_t count : counts) {
+      for (uint32_t mask : {0u, 1u, 3u, 7u}) {
+        for (Hits hits : {Hits::kNone, Hits::kSome, Hits::kAll}) {
+          // Mask 0 selects every pair at value 0 and none at value 1.
+          if (mask == 0 && hits == Hits::kSome) continue;
+          const uint32_t value =
+              mask == 0 ? (hits == Hits::kAll ? 0 : 1)
+                        : uint32_t(rng.UniformInt(mask + 1));
+          std::vector<uint32_t> pairs(2 * count);
+          for (size_t i = 0; i < count; ++i) {
+            uint32_t set = uint32_t(rng.Next64());
+            if (mask != 0 && hits == Hits::kAll) {
+              set = (set & ~mask) | value;
+            } else if (mask != 0 && hits == Hits::kNone) {
+              const uint32_t other =
+                  (value + 1 + uint32_t(rng.UniformInt(mask))) & mask;
+              set = (set & ~mask) | other;
+            }
+            pairs[2 * i] = set;
+            pairs[2 * i + 1] = uint32_t(rng.Next64());
+          }
+          std::vector<uint32_t> selected;
+          for (size_t i = 0; i < count; ++i) {
+            if ((pairs[2 * i] & mask) != value) continue;
+            selected.push_back(pairs[2 * i]);
+            selected.push_back(pairs[2 * i + 1]);
+          }
+          const std::string context =
+              std::string(simd::LevelName(level)) +
+              " count=" + std::to_string(count) +
+              " mask=" + std::to_string(mask) +
+              " value=" + std::to_string(value);
+          if (hits == Hits::kNone) {
+            ASSERT_TRUE(selected.empty()) << context;
+          }
+          if (hits == Hits::kAll) {
+            ASSERT_EQ(selected.size(), 2 * count) << context;
+          }
+
+          // A poisoned pair past `count` proves the writes stay inside
+          // the documented count-pair output buffer.
+          std::vector<uint32_t> expected(2 * count + 2, 0xDEADBEEF);
+          std::vector<uint32_t> actual(2 * count + 2, 0xDEADBEEF);
+          const size_t expected_found =
+              simd::ForLevel(simd::Level::kScalar)
+                  .select_masked_pairs(pairs.data(), count, mask, value,
+                                       expected.data());
+          const size_t actual_found = kernels.select_masked_pairs(
+              pairs.data(), count, mask, value, actual.data());
+          ASSERT_EQ(expected_found, selected.size() / 2) << context;
+          ASSERT_EQ(actual_found, expected_found) << context;
+          EXPECT_EQ(std::vector<uint32_t>(actual.begin(),
+                                          actual.begin() + 2 * actual_found),
+                    selected)
+              << context;
+          EXPECT_EQ(actual[2 * count], 0xDEADBEEFu) << context;
+          EXPECT_EQ(actual[2 * count + 1], 0xDEADBEEFu) << context;
+          EXPECT_EQ(expected[2 * count], 0xDEADBEEFu) << context;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, Crc32cKernelMatchesPortableAtEveryTier) {
   Rng rng(5);
   for (simd::Level level : TestableLevels()) {
