@@ -115,8 +115,8 @@ void BM_TransportIngest(benchmark::State& state) {
     }
   }
   ServerOptions server_options;
-  // One worker: per-connection tickets serialize a session's requests
-  // anyway, so a second worker only adds wakeups to a one-client bench.
+  // One slot: a one-client bench has one connection, and a connection
+  // holds at most one admitted request, so a second slot would idle.
   server_options.worker_threads = 1;
   server_options.max_queue = 256;
   SessionServer server(server_options, std::move(listener));

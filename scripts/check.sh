@@ -24,10 +24,11 @@
 #      session wire protocol's hostile-byte surface, under ASan+UBSan,
 #   3. the thread pool + parallel multi-run (which fans out over
 #      engine::Execute sessions) + prefetch decoder tests, plus the
-#      concurrent session server and its kill-and-resume soak and the
-#      sharded multi-worker runner's equivalence/resume suite, under
-#      TSan (-DSETCOVER_TSAN=ON), so the engine-backed parallel drivers
-#      and the server's scheduler/drain paths are race-checked.
+#      concurrent session server and its kill-and-resume soak, the
+#      two-slot server over unix and shm, and the sharded multi-worker
+#      runner's equivalence/resume suite, under TSan
+#      (-DSETCOVER_TSAN=ON), so the engine-backed parallel drivers and
+#      the server's admission/drain paths are race-checked.
 #
 # Both modes start with layering guards: outside the engine's pump
 # (src/engine/pump.cc) and the contract's own definition sites,
@@ -335,18 +336,20 @@ EOF
   build-asan/tests/simd_dispatch_test
   SETCOVER_SIMD_LEVEL=scalar build-asan/tests/batch_equivalence_test
 
-  echo "== bench smoke: thread pool + multi-run-over-engine + prefetch decoder + session server under TSan (build-tsan/) =="
+  echo "== bench smoke: thread pool + multi-run-over-engine + prefetch decoder + session server + transports under TSan (build-tsan/) =="
   cmake -B build-tsan -S . -DSETCOVER_TSAN=ON >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target thread_pool_test multi_run_test batch_equivalence_test \
              prefetch_decoder_test session_server_test session_soak_test \
-             sharded_engine_test shm_ring_test windowed_ingest_test
+             sharded_engine_test shm_ring_test windowed_ingest_test \
+             transport_framing_test
   build-tsan/tests/thread_pool_test
   build-tsan/tests/multi_run_test
   build-tsan/tests/batch_equivalence_test
   build-tsan/tests/prefetch_decoder_test
-  # The concurrent session server: worker fan-out, shedding, drain, and
-  # the 1024-session kill-and-resume soak, all race-checked.
+  # The concurrent session server: connection threads competing for
+  # execution slots, shedding, drain, and the 1024-session
+  # kill-and-resume soak, all race-checked.
   build-tsan/tests/session_server_test
   build-tsan/tests/session_soak_test
   # W worker pipelines over the shared thread pool, all racing into the
@@ -354,10 +357,13 @@ EOF
   # equivalence + kill-and-resume suite doubles as its race soak.
   build-tsan/tests/sharded_engine_test
   # The shm ring's acquire/release cursor protocol under a real
-  # producer/consumer pair, and the windowed client racing its in-flight
-  # frames against a multi-worker server's per-connection tickets.
+  # producer/consumer pair, and the windowed client's in-flight frames
+  # against a multi-slot server that answers each connection in order.
   build-tsan/tests/shm_ring_test
   build-tsan/tests/windowed_ingest_test
+  # A two-slot server serving framed unix and shm clients side by side,
+  # plus the byte-at-a-time framing sweep's concurrent sender/receiver.
+  build-tsan/tests/transport_framing_test
 
   echo "== bench smoke passed =="
   exit 0

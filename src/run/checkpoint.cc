@@ -1,5 +1,6 @@
 #include "run/checkpoint.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -65,6 +66,14 @@ struct ByteReader {
   }
 };
 
+/// Bytes AppendCheckpointBody writes: the name's length and bytes, two
+/// u32 meta fields, eight u64 fields (the last one the state length),
+/// and the state words. Writers size their buffer from it once.
+size_t CheckpointBodyBytes(const Checkpoint& checkpoint) {
+  return 4 + checkpoint.algorithm_name.size() + 2 * 4 + 8 * 8 +
+         checkpoint.state_words.size() * 8;
+}
+
 /// The checkpoint body — everything between the header and the CRC of
 /// the single-run format. The sharded aggregate embeds one body per
 /// present slot, byte-identical to the single-run layout.
@@ -82,7 +91,18 @@ void AppendCheckpointBody(std::vector<uint8_t>* bytes,
   AppendU64(bytes, checkpoint.faults_survived);
   AppendU64(bytes, checkpoint.session_sequence);
   AppendU64(bytes, checkpoint.state_words.size());
-  for (uint64_t w : checkpoint.state_words) AppendU64(bytes, w);
+  if (checkpoint.state_words.empty()) return;
+  // The words are stored little-endian: on a little-endian host that is
+  // their memory image, copied in one go.
+  if constexpr (std::endian::native == std::endian::little) {
+    const size_t at = bytes->size();
+    const size_t state_bytes = checkpoint.state_words.size() * 8;
+    bytes->resize(at + state_bytes);
+    std::memcpy(bytes->data() + at, checkpoint.state_words.data(),
+                state_bytes);
+  } else {
+    for (uint64_t w : checkpoint.state_words) AppendU64(bytes, w);
+  }
 }
 
 bool ParseCheckpointBody(ByteReader* in, uint32_t version,
@@ -120,8 +140,10 @@ bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
   const bool wrote =
       std::fwrite(bytes->data(), 1, bytes->size(), f) == bytes->size() &&
       std::fflush(f) == 0;
-  std::fclose(f);
-  if (!wrote || std::rename(tmp.c_str(), path.c_str()) != 0) {
+  // A failed close can lose buffered bytes: never rename its file into
+  // place.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     if (error != nullptr) *error = "failed writing checkpoint " + path;
     return false;
@@ -171,6 +193,7 @@ bool LoadVerified(const std::string& path, uint32_t magic,
 bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
                     std::string* error) {
   std::vector<uint8_t> bytes;
+  bytes.reserve(8 + CheckpointBodyBytes(checkpoint) + 4);  // + CRC
   AppendU32(&bytes, kMagic);
   AppendU32(&bytes, kVersion);
   AppendCheckpointBody(&bytes, checkpoint);
@@ -203,7 +226,12 @@ bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
                " slots for " + std::to_string(checkpoint.shards) + " shards";
     return false;
   }
+  size_t size = 16 + checkpoint.partitioner.size() + 4;  // header + CRC
+  for (const std::optional<Checkpoint>& slot : checkpoint.shard_states) {
+    size += 4 + (slot.has_value() ? CheckpointBodyBytes(*slot) : 0);
+  }
   std::vector<uint8_t> bytes;
+  bytes.reserve(size);
   AppendU32(&bytes, kShardedMagic);
   AppendU32(&bytes, kShardedVersion);
   AppendU32(&bytes, checkpoint.shards);

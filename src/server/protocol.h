@@ -74,7 +74,7 @@ enum class MessageType : uint8_t {
 
 /// Why the server asked the client to come back later.
 enum class RetryReason : uint8_t {
-  kOverloaded = 0,  // admission control: scheduler queue at capacity
+  kOverloaded = 0,  // admission control: every slot busy, waiters full
   kDraining = 1,    // graceful shutdown in progress
   kEvicted = 2,     // idle TTL eviction: state checkpointed, re-open to resume
 };

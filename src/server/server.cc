@@ -1,10 +1,8 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <utility>
-
-#include "server/protocol.h"
 
 namespace setcover {
 namespace server {
@@ -13,13 +11,13 @@ SessionServer::SessionServer(ServerOptions options,
                              std::unique_ptr<Listener> listener)
     : options_(std::move(options)),
       listener_(std::move(listener)),
-      manager_(options_.state_dir) {}
+      manager_(options_.state_dir),
+      max_running_(std::max<size_t>(1, options_.worker_threads)),
+      max_waiting_(std::max<size_t>(1, options_.max_queue)) {}
 
 SessionServer::~SessionServer() { Abort(); }
 
 void SessionServer::Start() {
-  queue_ = std::make_unique<TaskQueue>(options_.worker_threads,
-                                       options_.max_queue);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (options_.session_ttl_us > 0 && !options_.state_dir.empty()) {
     // The TTL sweep: idle sessions get checkpointed and dropped so a
@@ -45,102 +43,109 @@ void SessionServer::AcceptLoop() {
     if (accepted == nullptr) return;  // listener shut down
     std::shared_ptr<Connection> connection = std::move(accepted);
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    if (stopped_.load() || draining_.load()) {
+    if (stopped_.load()) {
       connection->Close();
       continue;
     }
+    // Join the loops that ended since the last accept, so a long-lived
+    // daemon holds threads for its live connections only.
+    for (std::thread::id id : finished_threads_) {
+      auto it = std::find_if(
+          connection_threads_.begin(), connection_threads_.end(),
+          [id](const std::thread& thread) { return thread.get_id() == id; });
+      it->join();
+      connection_threads_.erase(it);
+    }
+    finished_threads_.clear();
     connections_.push_back(connection);
     connection_threads_.emplace_back(
         [this, connection] { ConnectionLoop(connection); });
   }
 }
 
-void SessionServer::ConnectionLoop(std::shared_ptr<Connection> connection) {
-  // Per-connection execution tickets. A pipelined client keeps several
-  // requests in flight on one connection; with worker_threads > 1 the
-  // scheduler could otherwise apply them out of order and a windowed
-  // ingest stream would see spurious sequence gaps. Each admitted
-  // request takes the next ticket and its worker waits until every
-  // earlier ticket from the *same connection* has replied — FIFO per
-  // connection, still concurrent across connections. Deadlock-free
-  // because TaskQueue pops strictly FIFO: the task holding ticket t is
-  // always scheduled no later than the task waiting on it.
-  struct Order {
-    std::mutex mutex;
-    std::condition_variable cv;
-    uint64_t next = 0;  // next ticket to hand out (connection thread)
-    uint64_t done = 0;  // tickets fully replied
-  };
-  auto order = std::make_shared<Order>();
+bool SessionServer::Admit(RetryReason* refused) {
+  std::unique_lock<std::mutex> lock(admission_mutex_);
+  if (draining_) {
+    *refused = RetryReason::kDraining;
+    return false;
+  }
+  if (running_ >= max_running_) {
+    if (waiting_ >= max_waiting_) {
+      *refused = RetryReason::kOverloaded;
+      return false;
+    }
+    ++waiting_;
+    admission_cv_.wait(lock, [this] { return running_ < max_running_; });
+    --waiting_;
+  }
+  ++running_;
+  return true;
+}
 
+void SessionServer::Release() {
+  std::lock_guard<std::mutex> lock(admission_mutex_);
+  --running_;
+  // Waiters want the slot; a drain wants to see the last one go.
+  if (waiting_ > 0 || draining_) admission_cv_.notify_all();
+}
+
+void SessionServer::ConnectionLoop(std::shared_ptr<Connection> connection) {
+  // The whole request runs here, on the connection's own thread, so
+  // its replies leave in arrival order by construction. Frames a
+  // pipelining client sends behind the current one wait in the
+  // transport until this loop receives them.
   std::vector<uint8_t> payload;
+  // Reply arena: on the ingest hot path a reply allocates nothing once
+  // the buffer reaches working size.
+  std::vector<uint8_t> encoded;
+  auto reply = [&](const Message& message) {
+    EncodeMessage(message, &encoded);
+    connection->Send(encoded);
+  };
   while (connection->Receive(&payload)) {
     frames_received_.fetch_add(1, std::memory_order_relaxed);
 
     std::string error;
     std::optional<Message> request = DecodeMessage(payload, &error);
     if (!request) {
-      // Hostile or damaged bytes never reach the scheduler; the
+      // Hostile or damaged bytes never reach the manager; the
       // connection stays usable for the client's (CRC-intact) retry.
-      connection->Send(EncodeMessage(MakeError(0, "bad frame: " + error)));
+      reply(MakeError(0, "bad frame: " + error));
       continue;
     }
 
-    if (draining_.load() || stopped_.load()) {
-      connection->Send(EncodeMessage(
-          MakeRetryAfter(request->session_id, options_.retry_after_us,
-                         RetryReason::kDraining)));
+    RetryReason refused = RetryReason::kOverloaded;
+    if (!Admit(&refused)) {
+      if (refused == RetryReason::kOverloaded)
+        sheds_.fetch_add(1, std::memory_order_relaxed);
+      reply(MakeRetryAfter(request->session_id, options_.retry_after_us,
+                           refused));
       continue;
     }
-
-    // Admission control. The lambda owns the decoded request; the reply
-    // is sent from the scheduler thread (transports serialize sends).
-    Message owned = std::move(*request);
-    const uint64_t session_id = owned.session_id;
-    const uint64_t ticket = order->next;
-    const bool admitted = queue_->TrySubmit(
-        [this, connection, order, ticket,
-         request = std::move(owned)]() mutable {
-          {
-            std::unique_lock<std::mutex> lock(order->mutex);
-            order->cv.wait(lock, [&] { return order->done == ticket; });
-          }
-          Message reply = manager_.Handle(request);
-          if (reply.type == MessageType::kStatsOk && reply.session_id == 0) {
-            reply.frames_received =
-                frames_received_.load(std::memory_order_relaxed);
-            reply.sheds = sheds_.load(std::memory_order_relaxed);
-          }
-          // Per-worker encode arena: replies on the ingest hot path
-          // allocate nothing once the buffer reaches working size.
-          thread_local std::vector<uint8_t> encoded;
-          EncodeMessage(reply, &encoded);
-          connection->Send(encoded);
-          {
-            std::lock_guard<std::mutex> lock(order->mutex);
-            order->done = ticket + 1;
-          }
-          order->cv.notify_all();
-        });
-    if (admitted) {
-      // Only the connection thread mutates next, and only on admission
-      // — a shed request consumes no ticket, so the sequence of
-      // admitted tickets stays gap-free.
-      std::lock_guard<std::mutex> lock(order->mutex);
-      order->next = ticket + 1;
-    } else {
-      // Shed from the connection thread — rejecting work must not
-      // depend on the queue that is already full.
-      sheds_.fetch_add(1, std::memory_order_relaxed);
-      connection->Send(EncodeMessage(MakeRetryAfter(
-          session_id, options_.retry_after_us, RetryReason::kOverloaded)));
+    Message answer = manager_.Handle(*request);
+    if (answer.type == MessageType::kStatsOk && answer.session_id == 0) {
+      answer.frames_received =
+          frames_received_.load(std::memory_order_relaxed);
+      answer.sheds = sheds_.load(std::memory_order_relaxed);
     }
+    // The slot is held through the send, so a drain that has seen every
+    // slot free knows every admitted request has its reply on the wire.
+    reply(answer);
+    Release();
   }
+  // The peer is gone (or the server closed it): let the connection go
+  // now instead of at shutdown.
+  std::lock_guard<std::mutex> lock(threads_mutex_);
+  std::erase(connections_, connection);
+  finished_threads_.push_back(std::this_thread::get_id());
 }
 
 void SessionServer::StopInternal(bool drain) {
   if (stopped_.exchange(true)) return;
-  draining_.store(true);
+  {
+    std::lock_guard<std::mutex> lock(admission_mutex_);
+    draining_ = true;
+  }
 
   // Stop the intake: no new connections.
   listener_->Shutdown();
@@ -149,24 +154,25 @@ void SessionServer::StopInternal(bool drain) {
   if (eviction_thread_.joinable()) eviction_thread_.join();
 
   // Graceful drain answers every admitted request while the
-  // connections are still open, so no reply is lost.
-  if (drain && queue_ != nullptr) queue_->Drain();
+  // connections are still open, so no reply is lost. Nothing is
+  // admitted after draining_ was set, so this wait is final.
+  if (drain) {
+    std::unique_lock<std::mutex> lock(admission_mutex_);
+    admission_cv_.wait(lock,
+                       [this] { return running_ == 0 && waiting_ == 0; });
+  }
 
-  // Unblock and collect the connection threads; after their join,
-  // nobody can touch the queue.
+  // Unblock and collect the connection threads. A request still being
+  // served (Abort) finishes; its reply fails on the closed connection.
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
     for (auto& connection : connections_) connection->Close();
     threads.swap(connection_threads_);
     connections_.clear();
+    finished_threads_.clear();
   }
   for (std::thread& thread : threads) thread.join();
-
-  if (queue_ != nullptr) {
-    queue_->Stop();
-    queue_.reset();  // joins the scheduler threads
-  }
 
   if (drain) {
     // The drain sweep: every open session's state and exactly-once

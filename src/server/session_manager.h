@@ -18,8 +18,8 @@ namespace server {
 
 /// Owns every live ingest session, keyed by client-chosen session id,
 /// and maps decoded protocol requests onto engine::Session calls.
-/// Transport-agnostic: the server hands it Messages from scheduler
-/// threads; tests can drive it directly. OpenBody::workers becomes
+/// Transport-agnostic: the server hands it Messages from its
+/// connection threads; tests can drive it directly. OpenBody::workers becomes
 /// SessionConfig::workers: one engine::Session serves any fan-out.
 ///
 /// Durability: with a state_dir, each session persists two sidecar

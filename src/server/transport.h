@@ -28,9 +28,9 @@ namespace server {
 ///     SCM_RIGHTS fd passing; zero syscalls on the data path.
 ///
 /// Thread safety: both implementations serialize Send internally (a
-/// frame is never torn), and Receive may run concurrently with Send —
-/// the server replies from scheduler threads while its connection
-/// thread blocks in Receive. Only one thread may Receive at a time.
+/// frame is never torn), and Receive may run concurrently with Send or
+/// Close — a server shutting down closes a connection whose thread is
+/// blocked in Receive. Only one thread may Receive at a time.
 class Connection {
  public:
   virtual ~Connection() = default;

@@ -1,8 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace setcover {
 
 ThreadPool::ThreadPool(size_t threads) {
@@ -86,74 +83,6 @@ void ThreadPool::RunIndexed(size_t count,
     }
   }
   return;
-}
-
-TaskQueue::TaskQueue(size_t threads, size_t max_pending)
-    : max_pending_(std::max<size_t>(1, max_pending)) {
-  const size_t count = std::max<size_t>(1, threads);
-  workers_.reserve(count);
-  for (size_t t = 0; t < count; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-TaskQueue::~TaskQueue() {
-  Stop();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-bool TaskQueue::TrySubmit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) return false;
-    if (queue_.size() >= max_pending_) {
-      ++rejected_;
-      return false;
-    }
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.notify_one();
-  return true;
-}
-
-void TaskQueue::Drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
-void TaskQueue::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  task_ready_.notify_all();
-}
-
-size_t TaskQueue::Pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-uint64_t TaskQueue::Rejected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rejected_;
-}
-
-void TaskQueue::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    task_ready_.wait(lock, [this] { return !queue_.empty() || stopped_; });
-    if (queue_.empty()) return;  // stopped and drained
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++running_;
-    lock.unlock();
-    task();
-    lock.lock();
-    --running_;
-    if (queue_.empty() && running_ == 0) idle_.notify_all();
-  }
 }
 
 }  // namespace setcover

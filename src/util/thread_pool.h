@@ -3,8 +3,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -13,12 +11,13 @@
 
 namespace setcover {
 
-/// Fixed-size worker pool for the parallel multi-run drivers
-/// (core/multi_run.h). The design goal is *determinism*, not generic
-/// task scheduling: RunIndexed executes fn(0..count-1) with each index
-/// run exactly once, and because every sub-run owns its seeded Rng the
-/// results are bit-identical to sequential execution regardless of how
-/// indices land on threads.
+/// Fixed-size worker pool for the deterministic fan-out drivers: the
+/// W > 1 runner of engine::Execute (one pipeline per shard) and the
+/// parallel multi-run drivers (core/multi_run.h). The design goal is
+/// *determinism*, not generic task scheduling: RunIndexed executes
+/// fn(0..count-1) with each index run exactly once, and because every
+/// index owns its seeded state the results are bit-identical to
+/// sequential execution regardless of how indices land on threads.
 ///
 /// Exceptions thrown by tasks are captured per index and the one with
 /// the smallest index is rethrown after all tasks finish — again
@@ -65,65 +64,6 @@ class ThreadPool {
   Job job_;
   bool has_job_ = false;
   bool shutdown_ = false;
-};
-
-/// Bounded task scheduler — the admission-control sibling of
-/// ThreadPool, built for the long-lived session server
-/// (src/server/server.h). Where ThreadPool runs one finite indexed job
-/// to completion, TaskQueue accepts a rolling stream of independent
-/// tasks into a *bounded* queue: TrySubmit refuses (returns false)
-/// instead of queueing unboundedly when `max_pending` tasks are already
-/// waiting, which is what lets the server shed load with a RetryAfter
-/// reply instead of accumulating latency until it falls over.
-///
-/// Tasks must not throw — an escaping exception would tear down the
-/// worker thread. The server's tasks reply with an error frame instead.
-class TaskQueue {
- public:
-  /// Spawns `threads` dedicated workers (min 1) draining a queue that
-  /// holds at most `max_pending` (min 1) not-yet-started tasks.
-  TaskQueue(size_t threads, size_t max_pending);
-
-  /// Stops accepting, runs what was already accepted, joins.
-  ~TaskQueue();
-
-  TaskQueue(const TaskQueue&) = delete;
-  TaskQueue& operator=(const TaskQueue&) = delete;
-
-  /// Accepts `task` for asynchronous execution, unless the queue is at
-  /// capacity or the queue is stopped — then returns false and the task
-  /// is dropped (the caller owns the overload response).
-  bool TrySubmit(std::function<void()> task);
-
-  /// Blocks until every accepted task has finished (queue empty and no
-  /// task running). New submissions during a drain keep it waiting.
-  void Drain();
-
-  /// Stops accepting new tasks; accepted tasks still run. Idempotent.
-  void Stop();
-
-  /// Not-yet-started tasks currently queued.
-  size_t Pending() const;
-
-  /// Submissions refused because the queue was full (not stopped) —
-  /// the server exports this as its sheds counter.
-  uint64_t Rejected() const;
-
-  size_t MaxPending() const { return max_pending_; }
-  size_t ThreadCount() const { return workers_.size(); }
-
- private:
-  void WorkerLoop();
-
-  const size_t max_pending_;
-  mutable std::mutex mutex_;
-  std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  size_t running_ = 0;
-  uint64_t rejected_ = 0;
-  bool stopped_ = false;
 };
 
 }  // namespace setcover

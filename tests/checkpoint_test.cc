@@ -1,7 +1,9 @@
 #include "run/checkpoint.h"
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +173,114 @@ TEST(CheckpointTest, RejectsTruncation) {
     std::fclose(out);
     EXPECT_FALSE(LoadCheckpoint(path, &error).has_value())
         << "truncation to " << keep << " bytes went undetected";
+  }
+  std::remove(path.c_str());
+}
+
+// --- Byte identity against the per-byte reference encoder -----------
+
+void RefU32(std::vector<uint8_t>* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
+}
+
+void RefU64(std::vector<uint8_t>* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(uint8_t(v >> (8 * i)));
+}
+
+/// The checkpoint body as the writer first encoded it: one byte at a
+/// time, in field order.
+void RefBody(std::vector<uint8_t>* out, const Checkpoint& checkpoint) {
+  RefU32(out, uint32_t(checkpoint.algorithm_name.size()));
+  for (char c : checkpoint.algorithm_name) out->push_back(uint8_t(c));
+  RefU32(out, checkpoint.meta.num_sets);
+  RefU32(out, checkpoint.meta.num_elements);
+  RefU64(out, checkpoint.meta.stream_length);
+  RefU64(out, checkpoint.stream_position);
+  RefU64(out, checkpoint.edges_delivered);
+  RefU64(out, checkpoint.transient_retries);
+  RefU64(out, checkpoint.corrupt_skipped);
+  RefU64(out, checkpoint.faults_survived);
+  RefU64(out, checkpoint.session_sequence);
+  RefU64(out, checkpoint.state_words.size());
+  for (uint64_t w : checkpoint.state_words) RefU64(out, w);
+}
+
+std::vector<uint8_t> RefWithCrc(std::vector<uint8_t> bytes) {
+  RefU32(&bytes, Crc32(bytes.data() + 4, bytes.size() - 4));
+  return bytes;
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return bytes;
+  uint8_t buffer[4096];
+  size_t got;
+  while ((got = std::fread(buffer, 1, sizeof buffer, in)) > 0)
+    bytes.insert(bytes.end(), buffer, buffer + got);
+  std::fclose(in);
+  return bytes;
+}
+
+Checkpoint CheckpointWithWords(size_t words, uint64_t salt) {
+  Checkpoint checkpoint = SampleCheckpoint();
+  checkpoint.session_sequence = salt;
+  checkpoint.state_words.clear();
+  uint64_t x = 0x9E3779B97F4A7C15ULL ^ salt;
+  for (size_t i = 0; i < words; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    checkpoint.state_words.push_back(x);
+  }
+  return checkpoint;
+}
+
+TEST(CheckpointTest, SckpBytesMatchThePerByteEncoder) {
+  const std::string path = TempPath("ckpt_bytes.sckp");
+  for (const size_t words : {size_t(0), size_t(1), size_t(6200),
+                             size_t(80700)}) {
+    const Checkpoint checkpoint = CheckpointWithWords(words, words);
+    std::string error;
+    ASSERT_TRUE(SaveCheckpoint(checkpoint, path, &error)) << error;
+    std::vector<uint8_t> expected;
+    RefU32(&expected, 0x504B4353u);  // "SCKP"
+    RefU32(&expected, 2);
+    RefBody(&expected, checkpoint);
+    EXPECT_EQ(ReadFile(path), RefWithCrc(expected)) << words << " words";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, ScshBytesMatchThePerByteEncoder) {
+  const std::string path = TempPath("ckpt_bytes.scsh");
+  ShardedCheckpoint sharded;
+  sharded.shards = 6;
+  sharded.partitioner = "set-modulo";
+  // Every tested size, with absent slots at both ends and in between.
+  sharded.shard_states = {std::nullopt,
+                          CheckpointWithWords(0, 1),
+                          CheckpointWithWords(1, 2),
+                          std::nullopt,
+                          CheckpointWithWords(6200, 3),
+                          CheckpointWithWords(80700, 4)};
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      std::swap(sharded.shard_states[0], sharded.shard_states[5]);
+    }
+    std::string error;
+    ASSERT_TRUE(SaveShardedCheckpoint(sharded, path, &error)) << error;
+    std::vector<uint8_t> expected;
+    RefU32(&expected, 0x48534353u);  // "SCSH"
+    RefU32(&expected, 1);
+    RefU32(&expected, sharded.shards);
+    RefU32(&expected, uint32_t(sharded.partitioner.size()));
+    for (char c : sharded.partitioner) expected.push_back(uint8_t(c));
+    for (const std::optional<Checkpoint>& slot : sharded.shard_states) {
+      RefU32(&expected, slot.has_value() ? 1 : 0);
+      if (slot.has_value()) RefBody(&expected, *slot);
+    }
+    EXPECT_EQ(ReadFile(path), RefWithCrc(expected)) << "round " << round;
   }
   std::remove(path.c_str());
 }

@@ -276,6 +276,41 @@ TEST(SessionServer, OverloadShedsWithRetryAfterAndClientsStillFinish) {
   server.DrainAndStop();
 }
 
+// A connection holds at most one admitted request: the frames a
+// windowed client pipelines behind it wait in the transport, not in
+// the admission line. So on the smallest server (one slot, one waiter)
+// a lone client with eight frames in flight is never shed.
+TEST(SessionServer, PipelinedClientIsNotShedByItsOwnWindow) {
+  Fixture fixture = MakeFixture(209);
+  const std::string algorithm = RegisteredAlgorithmNames().front();
+  engine::RunReport expected = Oracle(algorithm, 21, fixture);
+
+  LocalEndpoint endpoint;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.max_queue = 1;
+  SessionServer server(options, endpoint.Listen());
+  server.Start();
+
+  SessionClient client(DialerFor(&endpoint), FastClientOptions(13));
+  RunSessionOptions run;
+  run.batch_edges = 8;
+  run.window = 8;
+  Message reply;
+  std::string error;
+  ASSERT_GT(fixture.stream.edges.size(), run.batch_edges * run.window);
+  ASSERT_TRUE(RunSessionToCompletion(&client, 1,
+                                     MakeOpen(algorithm, 21, fixture),
+                                     fixture.stream.edges, run, &reply,
+                                     &error))
+      << error;
+  EXPECT_EQ(reply.cover, ToU32(expected.solution.cover));
+  EXPECT_EQ(reply.certificate, ToU32(expected.solution.certificate));
+  EXPECT_EQ(server.Stats().sheds, 0u);
+  EXPECT_EQ(client.RetriesAfterShed(), 0u);
+  server.DrainAndStop();
+}
+
 TEST(SessionServer, GracefulDrainAnswersInFlightAndShedsNewWork) {
   Fixture fixture = MakeFixture(205);
   const std::string algorithm = RegisteredAlgorithmNames().front();
@@ -387,6 +422,54 @@ TEST(SessionServer, UnixSocketSmoke) {
       << error;
   EXPECT_EQ(reply.cover, ToU32(expected.solution.cover));
   EXPECT_EQ(reply.certificate, ToU32(expected.solution.certificate));
+  server.DrainAndStop();
+}
+
+size_t OpenFileDescriptors() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A daemon outlives its clients: the server releases a connection whose
+// peer hung up (its socket, and with it any shm rings) right away, not
+// at shutdown, so what it holds tracks its live connections.
+TEST(SessionServer, HungUpConnectionsAreReleased) {
+  const std::string socket_path = testing::TempDir() + "setcover_hangup.sock";
+  std::string error;
+  auto listener = ListenUnix(socket_path, &error);
+  ASSERT_NE(listener, nullptr) << error;
+  SessionServer server({}, std::move(listener));
+  server.Start();
+
+  auto one_client = [&](uint64_t jitter_seed) {
+    SessionClient client(
+        [&socket_path](std::string* dial_error) {
+          return ConnectUnix(socket_path, dial_error);
+        },
+        FastClientOptions(jitter_seed));
+    Message reply;
+    std::string stats_error;
+    EXPECT_TRUE(client.Stats(0, &reply, &stats_error)) << stats_error;
+    // The client hangs up as it goes out of scope.
+  };
+  one_client(1);
+  const size_t baseline = OpenFileDescriptors();
+  constexpr int kClients = 32;
+  for (int i = 0; i < kClients; ++i) one_client(uint64_t(i) + 2);
+
+  // Each loop notices its hang-up on its own thread; allow for that.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (OpenFileDescriptors() > baseline + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(OpenFileDescriptors(), baseline + 1)
+      << kClients << " hung-up connections, baseline " << baseline;
   server.DrainAndStop();
 }
 

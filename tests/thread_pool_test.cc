@@ -3,12 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/multi_run.h"
@@ -134,113 +130,6 @@ TEST(ParallelDeterminism, BestOfRunsIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(total_peak, reference_peak) << "threads=" << threads;
     }
   }
-}
-
-// A latch the overload tests use to wedge every worker at once.
-struct Gate {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool open = false;
-
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return open; });
-  }
-};
-
-TEST(TaskQueue, RunsEveryAcceptedTask) {
-  TaskQueue queue(4, 128);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    while (!queue.TrySubmit([&] { done.fetch_add(1); })) {
-      std::this_thread::yield();
-    }
-  }
-  queue.Drain();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(TaskQueue, RefusesBeyondTheBoundInsteadOfQueueingUnboundedly) {
-  Gate gate;
-  TaskQueue queue(2, 3);
-  std::atomic<int> done{0};
-  // Wedge both workers, then fill the queue to its bound.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(queue.TrySubmit([&] {
-      gate.Wait();
-      done.fetch_add(1);
-    }));
-  }
-  // Workers may not have dequeued their tasks yet; keep offering until
-  // the queue reports exactly its bound in pending tasks.
-  int accepted = 0;
-  while (accepted < 3) {
-    if (queue.TrySubmit([&] { done.fetch_add(1); })) ++accepted;
-  }
-  ASSERT_EQ(queue.Pending(), 3u);
-
-  // The queue is full and both workers are busy: admission fails.
-  EXPECT_FALSE(queue.TrySubmit([&] { done.fetch_add(1); }));
-  EXPECT_GE(queue.Rejected(), 1u);
-
-  gate.Open();
-  queue.Drain();
-  EXPECT_EQ(done.load(), 5);
-}
-
-TEST(TaskQueue, StopRefusesNewTasksButRunsAcceptedOnes) {
-  Gate gate;
-  TaskQueue queue(1, 8);
-  std::atomic<int> done{0};
-  ASSERT_TRUE(queue.TrySubmit([&] {
-    gate.Wait();
-    done.fetch_add(1);
-  }));
-  ASSERT_TRUE(queue.TrySubmit([&] { done.fetch_add(1); }));
-  queue.Stop();
-  EXPECT_FALSE(queue.TrySubmit([&] { done.fetch_add(1); }));
-  gate.Open();
-  queue.Drain();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(TaskQueue, DestructorRunsTheBacklog) {
-  std::atomic<int> done{0};
-  {
-    TaskQueue queue(2, 64);
-    for (int i = 0; i < 32; ++i) {
-      ASSERT_TRUE(queue.TrySubmit([&] { done.fetch_add(1); }));
-    }
-  }
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(TaskQueue, ManyProducersManyWorkers) {
-  TaskQueue queue(4, 32);
-  std::atomic<int> done{0};
-  constexpr int kPerProducer = 200;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        // Full queue = shed; a real client would back off, the test
-        // just spins until admitted so every task eventually runs.
-        while (!queue.TrySubmit([&] { done.fetch_add(1); })) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  queue.Drain();
-  EXPECT_EQ(done.load(), 4 * kPerProducer);
 }
 
 }  // namespace

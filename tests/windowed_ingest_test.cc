@@ -5,8 +5,8 @@
 // shardable and a non-shardable algorithm; a mid-window server
 // Abort() + restart resyncs from the durable cursor and still
 // converges bit-identically. scripts/check.sh runs this under ASan
-// and TSan (the per-connection ticket ordering in the server is the
-// contended piece).
+// and TSan (the client's in-flight frames against a multi-slot server
+// are the contended piece).
 
 #include <algorithm>
 #include <atomic>
@@ -102,7 +102,7 @@ TEST(WindowedIngest, EveryWindowMatchesStrictAndOracle) {
 
   LocalEndpoint endpoint;
   ServerOptions server_options;
-  server_options.worker_threads = 3;  // ticket ordering is what's tested
+  server_options.worker_threads = 3;  // per-connection order is tested
   server_options.max_queue = 256;
   SessionServer server(server_options, endpoint.Listen());
   server.Start();

@@ -46,6 +46,10 @@
 //                    [--transport=local|unix|shm] [--window=K]
 //                    [--passes=P]
 //
+// --workers and --max-queue configure the self-hosted server: requests
+// executing at once, and requests waiting for a free slot before the
+// server sheds.
+//
 // Exit code 0 iff every session completed with an oracle-identical
 // cover.
 

@@ -7,6 +7,10 @@
 // Usage:
 //   setcover_server --socket=/tmp/setcover.sock --state-dir=/var/lib/sc
 //                   [--workers=2] [--max-queue=64] [--retry-after-us=500]
+//
+// Each connection is served on its own thread. --workers bounds the
+// requests executing at once, --max-queue the requests waiting for a
+// free slot; a request beyond both is shed with a retry-after hint.
 
 #include <csignal>
 #include <cstdio>
