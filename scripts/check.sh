@@ -20,8 +20,9 @@
 #      the build type of build-release/ and of the committed baseline
 #      and refuses to compare anything else,
 #   2. the engine-equivalence + batch-equivalence + stream-format tests
-#      plus the greedy kernel differential + CSR instance tests, and the
-#      session wire protocol's hostile-byte surface, under ASan+UBSan,
+#      plus the greedy kernel differential + CSR instance tests, the
+#      session wire protocol's hostile-byte surface, and the hostile
+#      stream-payload suite, under ASan+UBSan,
 #   3. the thread pool + parallel multi-run (which fans out over
 #      engine::Execute sessions) + prefetch decoder tests, plus the
 #      concurrent session server and its kill-and-resume soak, the
@@ -294,14 +295,14 @@ EOF
     exit 1
   fi
 
-  echo "== bench smoke: engine equivalence + stream formats + offline kernels + wire protocol + SIMD kernels under ASan+UBSan (build-asan/) =="
+  echo "== bench smoke: engine equivalence + stream formats + offline kernels + wire protocol + SIMD kernels + hostile payloads under ASan+UBSan (build-asan/) =="
   cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target engine_equivalence_test batch_equivalence_test \
              stream_format_test greedy_kernel_test instance_test \
              bitset_test wire_protocol_test engine_session_test \
              simd_kernel_test simd_dispatch_test sharded_engine_test \
-             backend_matrix_test \
+             backend_matrix_test hostile_payload_test \
              shm_ring_test transport_framing_test windowed_ingest_test
   build-asan/tests/engine_equivalence_test
   # The sharded runner's W=1 bit-identity, protocol bounds, and
@@ -335,6 +336,11 @@ EOF
   build-asan/tests/simd_kernel_test
   build-asan/tests/simd_dispatch_test
   SETCOVER_SIMD_LEVEL=scalar build-asan/tests/batch_equivalence_test
+  # CRC-valid hostile stream-file bodies: the v3 varint kernel against
+  # the scalar tier on over-long, non-canonical, out-of-range and cut
+  # payloads (its 16-byte windows read near the payload's end), and the
+  # out-of-range-id repro through every algorithm and format.
+  build-asan/tests/hostile_payload_test
 
   echo "== bench smoke: thread pool + multi-run-over-engine + prefetch decoder + session server + transports under TSan (build-tsan/) =="
   cmake -B build-tsan -S . -DSETCOVER_TSAN=ON >/dev/null

@@ -199,6 +199,24 @@ IngestResult Session::Ingest(uint64_t sequence, std::span<const Edge> edges,
     result.status = IngestStatus::kOutOfOrder;
     return result;
   }
+  if (!EdgesInRange(edges, config_.meta)) {
+    // Refused whole, before any pump sees it: nothing is applied and
+    // the sequence stays put, so the client may send a good batch at
+    // the same sequence.
+    const StreamMetadata& meta = config_.meta;
+    const auto outside =
+        std::find_if(edges.begin(), edges.end(), [&](const Edge& edge) {
+          return edge.set >= meta.num_sets ||
+                 edge.element >= meta.num_elements;
+        });
+    *error = "ingest edge " + std::to_string(outside - edges.begin()) +
+             " (set " + std::to_string(outside->set) + ", element " +
+             std::to_string(outside->element) +
+             ") is outside the session's m x n = " +
+             std::to_string(meta.num_sets) + " x " +
+             std::to_string(meta.num_elements);
+    return result;
+  }
 
   // Each non-empty batch (or slice) is one ProcessEdgeBatch call; by
   // the batch/per-edge contract that leaves state bit-identical to any

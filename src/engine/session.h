@@ -86,7 +86,8 @@ enum class IngestStatus {
   kApplied,     // batch consumed, state advanced
   kDuplicate,   // sequence already applied; acknowledged, not re-applied
   kOutOfOrder,  // gap in the sequence; client must back-fill first
-  kFailed,      // fatal (finalized session, retry budget exhausted, I/O)
+  kFailed,      // refused (finalized session, retry budget exhausted,
+                // I/O, an edge outside m x n)
 };
 
 struct IngestResult {
@@ -136,7 +137,10 @@ class Session {
   /// Applies one ingest batch (see the exactly-once contract above).
   /// On kFailed, *error describes the failure and no state advanced
   /// unless the failure was a checkpoint write after a successful
-  /// apply (then last_sequence reflects the applied batch).
+  /// apply (then last_sequence reflects the applied batch). A batch
+  /// with an edge outside the session's m × n (set ≥ m or element ≥ n)
+  /// is refused whole: kFailed, an error naming the edge, and no pump
+  /// sees any of it.
   IngestResult Ingest(uint64_t sequence, std::span<const Edge> edges,
                       std::string* error);
 

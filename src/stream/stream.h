@@ -2,6 +2,7 @@
 #define SETCOVER_STREAM_STREAM_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "instance/instance.h"
@@ -28,6 +29,13 @@ struct EdgeStream {
 
   size_t size() const { return edges.size(); }
 };
+
+/// True when every edge names a set below meta.num_sets and an element
+/// below meta.num_elements — the ids every algorithm sizes its per-set
+/// and per-element state by. Stream-file readers mark a chunk that
+/// breaks this damaged, and Session::Ingest refuses such a batch, so no
+/// algorithm ever indexes past its state.
+bool EdgesInRange(std::span<const Edge> edges, const StreamMetadata& meta);
 
 /// Lists all incidences of `instance` in canonical set-major order
 /// (set 0's elements ascending, then set 1's, ...). This is the raw

@@ -1,10 +1,13 @@
 #include "stream/stream_file.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
 #include "util/crc32.h"
+#include "util/simd.h"
 #include "util/varint.h"
 
 namespace setcover {
@@ -27,6 +30,11 @@ static_assert(kChunkEdges == kIngestBatchEdges,
 // 24/28/36 and the v2 chunk stride are all multiples of 4).
 static_assert(sizeof(Edge) == 8 && alignof(Edge) <= 4,
               "zero-copy chunk views require 8-byte, 4-aligned edges");
+// The v3 payload kernel writes each (delta, element) pair straight into
+// an Edge, read as two u32s.
+static_assert(offsetof(Edge, set) == 0 &&
+                  offsetof(Edge, element) == sizeof(uint32_t),
+              "the v3 payload kernel writes Edge arrays as u32 pairs");
 // magic + version + m + n + N [+ header_crc in v2/v3].
 constexpr uint64_t kHeaderBytesV1 = 4 + 4 + 4 + 4 + 8;
 constexpr uint64_t kHeaderBytesV2 = kHeaderBytesV1 + 4;
@@ -72,6 +80,73 @@ void EncodeV3Payload(const Edge* edges, size_t count,
     AppendVarint(out, edges[i].element);
     previous_set = set;
   }
+}
+
+/// Decodes one v3 payload of `count` edges into `edges`. False when it
+/// is damaged: a varint that is truncated or longer than 10 bytes, a
+/// set id below 0 or at m and above, an element at n and above, or
+/// bytes left over after the last edge. The SIMD kernel
+/// (simd::Kernels::decode_varint_pairs) writes each pair's raw zig-zag
+/// delta and element straight into `edges`, and one prefix pass turns
+/// the deltas into set ids and checks every id against m × n. A pair
+/// the kernel leaves — a varint over 5 bytes, a value of 2^32 or more,
+/// or damage — goes through GetVarint here, and the kernel resumes
+/// after it, so every input decodes as the GetVarint loop alone would.
+bool DecodeV3Payload(const uint8_t* payload, size_t payload_bytes,
+                     const StreamMetadata& meta, Edge* edges, size_t count) {
+  const simd::Kernels& kernels = simd::Active();
+  const uint8_t* cursor = payload;
+  const uint8_t* const end = payload + payload_bytes;
+  // The running set id wraps as a u64: the first step that leaves
+  // [0, m), below 0 or at m and above, lands at m or above, so the
+  // largest id seen checks both ends.
+  uint64_t set = 0;
+  uint64_t max_set = 0;
+  uint64_t max_element = 0;
+  size_t done = 0;
+  for (;;) {
+    size_t consumed = 0;
+    const size_t taken = kernels.decode_varint_pairs(
+        cursor, size_t(end - cursor), count - done,
+        reinterpret_cast<uint32_t*>(edges + done), &consumed);
+    uint32_t max_taken = 0;
+    for (Edge* edge = edges + done; edge != edges + done + taken; ++edge) {
+      const uint32_t zigzag = edge->set;
+      set += uint64_t(int64_t(int32_t((zigzag >> 1) ^ (0u - (zigzag & 1)))));
+      max_set = std::max(max_set, set);
+      max_taken = std::max(max_taken, edge->element);
+      edge->set = SetId(set);
+    }
+    max_element = std::max<uint64_t>(max_element, max_taken);
+    done += taken;
+    cursor += consumed;
+    if (done == count) break;
+    uint64_t delta = 0, element = 0;
+    if (!GetVarint(&cursor, end, &delta) ||
+        !GetVarint(&cursor, end, &element)) {
+      return false;
+    }
+    set += uint64_t(ZigZagDecode(delta));
+    max_set = std::max(max_set, set);
+    max_element = std::max(max_element, element);
+    edges[done++] = Edge{SetId(set), ElementId(element)};
+    if (done == count) break;
+  }
+  // Leftover payload after the declared count: a CRC-passing encode
+  // could only do this through a writer bug; refuse it all the same.
+  return max_set < meta.num_sets && max_element < meta.num_elements &&
+         cursor == end;
+}
+
+/// The id-range rule (stream.h's EdgesInRange) for the raw-edge
+/// formats v1 and v2: a chunk naming an id outside m × n is damaged,
+/// and none of its edges are served.
+void RejectOutOfRange(const StreamMetadata& meta,
+                      StreamFileReader::DecodedChunk* out) {
+  if (EdgesInRange(out->edges, meta)) return;
+  out->edges = {};
+  out->truncated = false;
+  out->checksum_failed = true;
 }
 
 }  // namespace
@@ -328,6 +403,7 @@ bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
       out->edges = std::span<const Edge>(out->storage);
       out->truncated = got < want;
     }
+    RejectOutOfRange(meta_, out);
     return true;
   }
 
@@ -376,6 +452,7 @@ bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
       }
       out->edges = std::span<const Edge>(out->storage);
     }
+    RejectOutOfRange(meta_, out);
     return true;
   }
 
@@ -421,27 +498,8 @@ bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
     return true;
   }
   out->storage.resize(want);
-  const uint8_t* cursor = payload;
-  const uint8_t* end = payload + payload_bytes;
-  int64_t set = 0;
-  for (size_t i = 0; i < want; ++i) {
-    uint64_t delta = 0, element = 0;
-    if (!GetVarint(&cursor, end, &delta) ||
-        !GetVarint(&cursor, end, &element)) {
-      out->checksum_failed = true;
-      return true;
-    }
-    set += ZigZagDecode(delta);
-    if (set < 0 || set > int64_t{0xFFFFFFFF} ||
-        element > uint64_t{0xFFFFFFFF}) {
-      out->checksum_failed = true;
-      return true;
-    }
-    out->storage[i] = Edge{SetId(set), ElementId(element)};
-  }
-  if (cursor != end) {
-    // Leftover payload after the declared count: a CRC-passing encode
-    // could only do this through a writer bug; refuse it all the same.
+  if (!DecodeV3Payload(payload, payload_bytes, meta_, out->storage.data(),
+                       want)) {
     out->checksum_failed = true;
     return true;
   }

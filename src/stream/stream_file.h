@@ -53,6 +53,18 @@ namespace setcover {
 ///   chunks; a reader that finds the footer damaged falls back to a
 ///   linear header scan (payload_bytes makes chunks self-delimiting),
 ///   so a truncated file still replays its intact prefix.
+///   Decode contract: a payload decodes through the active SIMD tier's
+///   varint kernel (simd::Kernels::decode_varint_pairs) plus a scalar
+///   GetVarint loop for what the kernel leaves, and the result — edges,
+///   ChecksumFailed(), Truncated() — is the scalar reference's on every
+///   input, hostile ones included (tests/hostile_payload_test.cc). A
+///   payload is damaged when a varint is truncated or over 10 bytes,
+///   bytes are left after the last edge, or an id falls outside m × n.
+///
+/// Every format: a chunk naming a set ≥ m or an element ≥ n (a v3 set
+/// delta below 0 included) is damaged like a CRC failure, even when its
+/// CRC holds — ChecksumFailed(), none of its edges served — because
+/// every algorithm indexes its per-set and per-element state by id.
 ///
 /// Format v1 (legacy, still readable): the header without header_crc,
 /// followed by N raw edges with no checksums.
@@ -132,8 +144,8 @@ class BatchEdgeReader {
   virtual bool Truncated() const = 0;
 
   /// True once a chunk failed its CRC (or its headers are
-  /// inconsistent); the stream stops there and the damaged chunk's
-  /// edges are never surfaced.
+  /// inconsistent, or it names an id outside m × n); the stream stops
+  /// there and the damaged chunk's edges are never surfaced.
   virtual bool ChecksumFailed() const = 0;
 
   /// Edges returned so far (equals the cursor position).

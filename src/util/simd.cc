@@ -1,11 +1,13 @@
 #include "util/simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
 
 #include "util/crc32.h"
+#include "util/varint.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -103,6 +105,38 @@ __attribute__((always_inline)) inline size_t SelectMaskedPairsBody(
   return found;
 }
 
+/// One varint the payload decoder may take: at most 5 bytes, a value
+/// below 2^32, wholly inside [*cursor, end).
+__attribute__((always_inline)) inline bool TakeVarintU32(
+    const uint8_t** cursor, const uint8_t* end, uint32_t* value) {
+  const uint8_t* start = *cursor;
+  uint64_t wide = 0;
+  if (!GetVarint(cursor, end, &wide) || *cursor - start > 5 ||
+      wide > 0xFFFFFFFFu) {
+    return false;
+  }
+  *value = uint32_t(wide);
+  return true;
+}
+
+__attribute__((always_inline)) inline size_t DecodeVarintPairsBody(
+    const uint8_t* bytes, size_t size, size_t max_pairs, uint32_t* out_pairs,
+    size_t* consumed) {
+  const uint8_t* cursor = bytes;
+  const uint8_t* const end = bytes + size;
+  size_t taken = 0;
+  for (; taken < max_pairs; ++taken) {
+    const uint8_t* next = cursor;
+    if (!TakeVarintU32(&next, end, out_pairs + 2 * taken) ||
+        !TakeVarintU32(&next, end, out_pairs + 2 * taken + 1)) {
+      break;
+    }
+    cursor = next;
+  }
+  *consumed = size_t(cursor - bytes);
+  return taken;
+}
+
 // ---------------------------------------------------------------------
 // Scalar tier.
 
@@ -136,10 +170,16 @@ size_t SelectMaskedPairsScalar(const uint32_t* pairs, size_t count,
   return SelectMaskedPairsBody(pairs, count, mask, value, out_pairs);
 }
 
+size_t DecodeVarintPairsScalar(const uint8_t* bytes, size_t size,
+                               size_t max_pairs, uint32_t* out_pairs,
+                               size_t* consumed) {
+  return DecodeVarintPairsBody(bytes, size, max_pairs, out_pairs, consumed);
+}
+
 constexpr Kernels kScalarKernels = {
     GatherBitsScalar,      GatherEqualU32Scalar,    PopcountWordsScalar,
     PopcountAndnotScalar,  LessThanIndicesScalar,   SelectMaskedPairsScalar,
-    Crc32cPortable,
+    DecodeVarintPairsScalar, Crc32cPortable,
 };
 
 #ifdef SETCOVER_SIMD_X86
@@ -202,10 +242,241 @@ __attribute__((target("sse4.2,popcnt"))) size_t SelectMaskedPairsSse42(
   return SelectMaskedPairsBody(pairs, count, mask, value, out_pairs);
 }
 
+// ---------------------------------------------------------------------
+// Stream-file v3 payload decode, Masked-VByte style (Plaisance, Kurz &
+// Lemire, "Vectorized VByte Decoding", arXiv:1503.07387). One movemask
+// reads the continuation bits of a 16-byte window; when its first four
+// varints take at most three bytes each, one pshufb spreads them into
+// four u32 lanes — two (delta, element) pairs per step. Any other
+// window takes one pair through the scalar body, and so do the bytes
+// after the last whole window, so every tier takes exactly the pairs
+// the scalar tier takes. A step's cursor advance waits on its own
+// load, movemask and table reads, so the payload is split into
+// independent chains whose steps interleave.
+// Compiled at SSE4.2 (which implies SSSE3's pshufb) and inlined into
+// both the SSE4.2 and the AVX2 tier.
+
+/// For each 12-bit continuation mask (bit j = the high bit of byte j):
+/// `index` is 0 unless the window's first four varints each end within
+/// three bytes inside its first 12, else the number of the `shuffle`
+/// that moves varint k's bytes to lane k (unused lane bytes zeroed), and
+/// `bytes[number]` is how many bytes the four span. 3^4 length patterns
+/// give 81 shuffles: 4 KiB of index plus 1.3 KiB of shuffles.
+struct QuadTable {
+  alignas(16) uint8_t shuffle[82][16];
+  uint8_t index[4096];
+  uint8_t bytes[82];
+};
+
+constexpr QuadTable MakeQuadTable() {
+  QuadTable table{};
+  for (unsigned mask = 0; mask < 4096; ++mask) {
+    unsigned lengths[4] = {};
+    unsigned start = 0;
+    bool quad = true;
+    for (unsigned k = 0; quad && k < 4; ++k) {
+      unsigned length = 1;
+      while (start + length <= 12 && (mask >> (start + length - 1) & 1)) {
+        ++length;
+      }
+      quad = length <= 3 && start + length <= 12;
+      lengths[k] = length;
+      start += length;
+    }
+    if (!quad) continue;
+    const unsigned number = 1 + (lengths[0] - 1) + 3 * (lengths[1] - 1) +
+                            9 * (lengths[2] - 1) + 27 * (lengths[3] - 1);
+    table.index[mask] = uint8_t(number);
+    table.bytes[number] = uint8_t(start);
+    unsigned from = 0;
+    for (unsigned k = 0; k < 4; ++k) {
+      for (unsigned j = 0; j < 4; ++j) {
+        table.shuffle[number][4 * k + j] =
+            j < lengths[k] ? uint8_t(from + j) : uint8_t{0x80};
+      }
+      from += lengths[k];
+    }
+  }
+  return table;
+}
+
+constexpr QuadTable kQuad = MakeQuadTable();
+
+/// One decode chain: pairs [pair, end) starting at byte `pos`.
+struct VarintChain {
+  size_t pos = 0;
+  size_t pair = 0;
+  size_t end = 0;
+};
+
+/// The payload is cut into this many chains when each gets at least
+/// kMinChainPairs pairs.
+constexpr size_t kChains = 4;
+constexpr size_t kMinChainPairs = 256;
+
+/// One scalar pair, for a window that holds no quad: the bytes it
+/// spans, 0 when it cannot be taken. Out of line and free of chain
+/// state, so the unrolled chains keep their cursors in registers.
+__attribute__((noinline)) size_t TakeOnePair(const uint8_t* bytes, size_t size,
+                                             uint32_t* out_pair) {
+  size_t used = 0;
+  return DecodeVarintPairsBody(bytes, size, 1, out_pair, &used) == 1 ? used
+                                                                     : 0;
+}
+
+/// Advances `chain` by one step — a quad when the window at its cursor
+/// holds one, else one scalar pair. Needs a whole window and two pairs
+/// left. False, with the chain unmoved, when the next pair cannot be
+/// taken.
+__attribute__((target("sse4.2,popcnt"), always_inline)) inline bool
+StepChain(const uint8_t* bytes, size_t size, uint32_t* out_pairs,
+          VarintChain& chain) {
+  const __m128i window =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + chain.pos));
+  const unsigned number =
+      kQuad.index[unsigned(_mm_movemask_epi8(window)) & 0xFFF];
+  if (__builtin_expect(number == 0, 0)) {
+    const size_t used = TakeOnePair(bytes + chain.pos, size - chain.pos,
+                                    out_pairs + 2 * chain.pair);
+    chain.pos += used;
+    chain.pair += used != 0;
+    return used != 0;
+  }
+  // Lane k holds varint k's bytes b0 b1 b2 (zero past its length), and
+  // its value is b0 + b1·2^7 + b2·2^14 once the continuation bits go:
+  // maddubs forms b0 + b1·2^7 and b2 per 16 bits, madd joins them.
+  const __m128i spread = _mm_and_si128(
+      _mm_shuffle_epi8(window, _mm_load_si128(reinterpret_cast<const __m128i*>(
+                                   kQuad.shuffle[number]))),
+      _mm_set1_epi8(0x7F));
+  const __m128i values =
+      _mm_madd_epi16(_mm_maddubs_epi16(_mm_set1_epi16(int16_t(0x8001)), spread),
+                     _mm_set1_epi32(0x40000001));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out_pairs + 2 * chain.pair),
+                   values);
+  chain.pos += kQuad.bytes[number];
+  chain.pair += 2;
+  return true;
+}
+
+/// Runs `chain` to its end: steps while a whole window and two pairs
+/// remain, then the scalar body. False, with the chain at the pair it
+/// could not take, when it stops short.
+__attribute__((target("sse4.2,popcnt"), always_inline)) inline bool
+FinishChain(const uint8_t* bytes, size_t size, uint32_t* out_pairs,
+            VarintChain& chain) {
+  while (chain.pos + 16 <= size && chain.pair + 2 <= chain.end) {
+    if (!StepChain(bytes, size, out_pairs, chain)) return false;
+  }
+  size_t used = 0;
+  chain.pair += DecodeVarintPairsBody(bytes + chain.pos, size - chain.pos,
+                                      chain.end - chain.pair,
+                                      out_pairs + 2 * chain.pair, &used);
+  chain.pos += used;
+  return chain.pair == chain.end;
+}
+
+/// Cuts pairs [0, max_pairs) into kChains chains of equal pair counts.
+/// Chain c starts after the payload's (2 · first pair)-th terminator (a
+/// byte below 0x80 ends each varint), counted a window at a time. False,
+/// with `chains` untouched, when the whole windows hold too few
+/// terminators: one chain then takes everything, and stops where the
+/// damage is.
+__attribute__((target("sse4.2,popcnt"), always_inline)) inline bool
+SplitChains(const uint8_t* bytes, size_t size, size_t max_pairs,
+            VarintChain* chains) {
+  size_t starts[kChains] = {};
+  size_t pos = 0;
+  size_t seen = 0;  // terminators before pos
+  for (size_t c = 1; c < kChains; ++c) {
+    const size_t target = 2 * (max_pairs * c / kChains);
+    for (;;) {
+      if (pos + 16 > size) return false;
+      const unsigned ends =
+          ~unsigned(_mm_movemask_epi8(_mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(bytes + pos)))) &
+          0xFFFF;
+      const size_t count = size_t(std::popcount(ends));
+      if (seen + count < target) {
+        seen += count;
+        pos += 16;
+        continue;
+      }
+      unsigned rest = ends;
+      for (size_t drop = seen + 1; drop < target; ++drop) rest &= rest - 1;
+      pos += size_t(std::countr_zero(rest)) + 1;
+      seen = target;
+      break;
+    }
+    starts[c] = pos;
+  }
+  for (size_t c = 0; c < kChains; ++c) {
+    chains[c] = {starts[c], max_pairs * c / kChains,
+                 max_pairs * (c + 1) / kChains};
+  }
+  return true;
+}
+
+/// Steps that keep `chain` inside its pairs and whole windows: a step
+/// takes at most two pairs and 12 bytes.
+inline size_t SafeSteps(const VarintChain& chain, size_t size) {
+  if (chain.pos + 16 > size) return 0;
+  return std::min((chain.end - chain.pair) / 2,
+                  (size - 16 - chain.pos) / 12 + 1);
+}
+
+__attribute__((target("sse4.2,popcnt"), always_inline)) inline size_t
+DecodeVarintPairsChains(const uint8_t* bytes, size_t size, size_t max_pairs,
+                        uint32_t* out_pairs, size_t* consumed) {
+  VarintChain chains[kChains];
+  size_t count = 1;
+  chains[0].end = max_pairs;
+  if (max_pairs >= kChains * kMinChainPairs &&
+      SplitChains(bytes, size, max_pairs, chains)) {
+    count = kChains;
+    // The interleaved steps run on named copies, so the cursors stay in
+    // registers.
+    static_assert(kChains == 4);
+    VarintChain c0 = chains[0], c1 = chains[1], c2 = chains[2],
+                c3 = chains[3];
+    for (bool moved = true; moved;) {
+      size_t steps = std::min({SafeSteps(c0, size), SafeSteps(c1, size),
+                               SafeSteps(c2, size), SafeSteps(c3, size)});
+      if (steps == 0) break;
+      for (; moved && steps > 0; --steps) {
+        moved = StepChain(bytes, size, out_pairs, c0) &
+                StepChain(bytes, size, out_pairs, c1) &
+                StepChain(bytes, size, out_pairs, c2) &
+                StepChain(bytes, size, out_pairs, c3);
+      }
+    }
+    chains[0] = c0;
+    chains[1] = c1;
+    chains[2] = c2;
+    chains[3] = c3;
+  }
+  // Chain c's last pair ends where chain c + 1 starts, so the chains
+  // finish in order and the first to stop short ends the decode.
+  for (size_t c = 0; c < count; ++c) {
+    if (!FinishChain(bytes, size, out_pairs, chains[c]) || c + 1 == count) {
+      *consumed = chains[c].pos;
+      return chains[c].pair;
+    }
+  }
+  return 0;  // unreachable: the last chain always returns
+}
+
+__attribute__((target("sse4.2,popcnt"))) size_t DecodeVarintPairsSse42(
+    const uint8_t* bytes, size_t size, size_t max_pairs, uint32_t* out_pairs,
+    size_t* consumed) {
+  return DecodeVarintPairsChains(bytes, size, max_pairs, out_pairs,
+                                 consumed);
+}
+
 constexpr Kernels kSse42Kernels = {
     GatherBitsSse42,      GatherEqualU32Sse42,    PopcountWordsSse42,
     PopcountAndnotSse42,  LessThanIndicesSse42,   SelectMaskedPairsSse42,
-    Crc32cSse42,
+    DecodeVarintPairsSse42, Crc32cSse42,
 };
 
 // ---------------------------------------------------------------------
@@ -361,10 +632,17 @@ __attribute__((target("avx2,popcnt"))) size_t SelectMaskedPairsAvx2(
                                        out_pairs + 2 * found);
 }
 
+__attribute__((target("avx2,popcnt"))) size_t DecodeVarintPairsAvx2(
+    const uint8_t* bytes, size_t size, size_t max_pairs, uint32_t* out_pairs,
+    size_t* consumed) {
+  return DecodeVarintPairsChains(bytes, size, max_pairs, out_pairs,
+                                 consumed);
+}
+
 constexpr Kernels kAvx2Kernels = {
     GatherBitsAvx2,      GatherEqualU32Avx2,    PopcountWordsAvx2,
     PopcountAndnotAvx2,  LessThanIndicesAvx2,   SelectMaskedPairsAvx2,
-    Crc32cSse42,
+    DecodeVarintPairsAvx2, Crc32cSse42,
 };
 
 #endif  // SETCOVER_SIMD_X86

@@ -80,6 +80,21 @@ struct Kernels {
                                 uint32_t mask, uint32_t value,
                                 uint32_t* out_pairs);
 
+  /// Stream-file v3 payload decode: reads LEB128 varints from
+  /// bytes[0, size) two at a time, pair i's values landing in
+  /// out_pairs[2i] and out_pairs[2i + 1] (the memory layout of an Edge
+  /// array), for at most max_pairs pairs. Stops before the first pair
+  /// it cannot take whole: one whose varints run past `size`, take more
+  /// than 5 bytes, or hold a value of 2^32 or more. Returns the pairs
+  /// taken and sets *consumed to the bytes they span. out_pairs holds
+  /// max_pairs pairs; pairs past the returned count are unspecified.
+  /// The scalar tier is util/varint.h's GetVarint loop; SSE4.2 and AVX2
+  /// decode Masked-VByte style (Plaisance, Kurz & Lemire,
+  /// arXiv:1503.07387), four short varints per pshufb.
+  size_t (*decode_varint_pairs)(const uint8_t* bytes, size_t size,
+                                size_t max_pairs, uint32_t* out_pairs,
+                                size_t* consumed);
+
   /// CRC-32C (Castagnoli) with the Crc32c seed contract; the scalar
   /// tier is the table-driven portable implementation, SSE4.2+ the
   /// crc32 instruction. util/crc32.cc routes through this.

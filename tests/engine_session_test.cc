@@ -200,6 +200,55 @@ TEST_P(SessionSweep, KillResumeAndClientReplayIsBitIdentical) {
   }
 }
 
+// An edge outside the session's m × n is refused with its whole batch
+// before any pump sees it: kFailed, an error naming the edge and m × n,
+// nothing applied, the sequence not advanced. Every algorithm indexes
+// its per-set and per-element state by id, so letting the edge through
+// would write past that state. The next good batch is accepted at the
+// same sequence, and the cover still equals the oracle.
+TEST_P(SessionSweep, OutOfRangeBatchIsRefusedWhole) {
+  Fixture fixture = MakeFixture(141);
+  engine::RunReport expected = Oracle(GetParam(), fixture, std::nullopt);
+  std::string error;
+  auto session = engine::Session::Open(BaseConfig(GetParam(), fixture),
+                                       /*resume=*/false, &error);
+  ASSERT_NE(session, nullptr) << error;
+  const std::span<const Edge> edges(fixture.stream.edges);
+  const size_t half = edges.size() / 2;
+  ASSERT_EQ(session->Ingest(1, edges.subspan(0, half), &error).status,
+            engine::IngestStatus::kApplied)
+      << error;
+
+  const StreamMetadata& meta = fixture.stream.meta;
+  const std::string shape = std::to_string(meta.num_sets) + " x " +
+                            std::to_string(meta.num_elements);
+  for (const Edge outside : {Edge{meta.num_sets, 0}, Edge{0, meta.num_elements},
+                             Edge{5000, 5000}, Edge{kNoSet, 0}}) {
+    std::vector<Edge> batch(edges.begin() + half, edges.end());
+    batch.insert(batch.begin() + 3, outside);
+    error.clear();
+    const engine::IngestResult result = session->Ingest(2, batch, &error);
+    EXPECT_EQ(result.status, engine::IngestStatus::kFailed);
+    EXPECT_EQ(result.last_sequence, 1u);
+    EXPECT_NE(error.find("ingest edge 3 (set " + std::to_string(outside.set) +
+                         ", element " + std::to_string(outside.element) + ")"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find(shape), std::string::npos) << error;
+    EXPECT_EQ(session->LastSequence(), 1u);
+    EXPECT_EQ(session->Stats().edges_delivered, half);
+  }
+
+  ASSERT_EQ(session->Ingest(2, edges.subspan(half), &error).status,
+            engine::IngestStatus::kApplied)
+      << error;
+  const engine::RunReport& report = session->Finalize();
+  EXPECT_EQ(report.solution.cover, expected.solution.cover);
+  EXPECT_EQ(report.solution.certificate, expected.solution.certificate);
+  EXPECT_EQ(report.edges_delivered, expected.edges_delivered);
+  EXPECT_EQ(report.current_words, expected.current_words);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SessionSweep,
                          testing::ValuesIn(RegisteredAlgorithmNames()),
                          [](const testing::TestParamInfo<std::string>& info) {

@@ -7,6 +7,8 @@
 #include "stream/prefetch_decoder.h"
 
 #include <cstdio>
+#include <string>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -18,8 +20,10 @@
 namespace setcover {
 namespace {
 
+// PID-qualified: the forced-SIMD-tier ctest matrix runs this binary
+// while ctest also runs its discovered cases, all on the same TempDir.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 /// Long enough to span several pipeline units (kUnitChunks chunks per

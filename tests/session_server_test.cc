@@ -190,6 +190,68 @@ TEST(SessionServer, RetriedIngestIsAppliedExactlyOnce) {
   server.DrainAndStop();
 }
 
+// An ingest naming an id outside the session's m × n gets kError that
+// names the edge, and the server keeps serving: the refused session
+// still takes the good stream from the same sequence, and a concurrent
+// session still matches its oracle.
+TEST(SessionServer, OutOfRangeIngestIsAnErrorAndServingContinues) {
+  Fixture fixture = MakeFixture(208);
+  const std::string algorithm = RegisteredAlgorithmNames().front();
+  engine::RunReport expected = Oracle(algorithm, 21, fixture);
+
+  LocalEndpoint endpoint;
+  ServerOptions options;
+  options.worker_threads = 2;
+  SessionServer server(options, endpoint.Listen());
+  server.Start();
+
+  Message concurrent_reply;
+  std::string concurrent_error;
+  bool concurrent_ok = false;
+  std::thread concurrent([&] {
+    SessionClient client(DialerFor(&endpoint), FastClientOptions(21));
+    concurrent_ok = RunSessionToCompletion(
+        &client, 2, MakeOpen(algorithm, 21, fixture), fixture.stream.edges,
+        16, &concurrent_reply, &concurrent_error);
+  });
+
+  SessionClient client(DialerFor(&endpoint), FastClientOptions(22));
+  Message reply;
+  std::string error;
+  ASSERT_TRUE(client.Open(1, MakeOpen(algorithm, 21, fixture), &reply,
+                          &error))
+      << error;
+  std::vector<Edge> hostile(fixture.stream.edges.begin(),
+                            fixture.stream.edges.begin() + 32);
+  hostile[5] = Edge{5000, 5000};
+  EXPECT_FALSE(client.Ingest(1, 1, hostile, &reply, &error));
+  EXPECT_NE(error.find("ingest edge 5 (set 5000, element 5000)"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find(std::to_string(fixture.stream.meta.num_sets) + " x " +
+                       std::to_string(fixture.stream.meta.num_elements)),
+            std::string::npos)
+      << error;
+  ASSERT_TRUE(client.Stats(1, &reply, &error)) << error;
+  EXPECT_EQ(reply.session_stats.edges_delivered, 0u);
+  EXPECT_EQ(reply.session_stats.last_sequence, 0u);
+
+  ASSERT_TRUE(RunSessionToCompletion(&client, 1,
+                                     MakeOpen(algorithm, 21, fixture),
+                                     fixture.stream.edges, 64, &reply,
+                                     &error))
+      << error;
+  EXPECT_EQ(reply.cover, ToU32(expected.solution.cover));
+  EXPECT_EQ(reply.edges_delivered, expected.edges_delivered);
+
+  concurrent.join();
+  ASSERT_TRUE(concurrent_ok) << concurrent_error;
+  EXPECT_EQ(concurrent_reply.cover, ToU32(expected.solution.cover));
+  EXPECT_EQ(concurrent_reply.certificate, ToU32(expected.solution.certificate));
+  EXPECT_EQ(concurrent_reply.edges_delivered, expected.edges_delivered);
+  server.DrainAndStop();
+}
+
 // The finalize fence: a client that believes more batches were applied
 // than the session holds (the post-crash rollback shape) must be
 // rejected, not handed a cover over a truncated stream. At the true

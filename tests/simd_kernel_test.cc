@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/varint.h"
 
 namespace setcover {
 namespace {
@@ -232,6 +235,56 @@ TEST(SimdKernelTest, SelectMaskedPairsMatchesScalarAtEveryTier) {
           EXPECT_EQ(actual[2 * count + 1], 0xDEADBEEFu) << context;
           EXPECT_EQ(expected[2 * count], 0xDEADBEEFu) << context;
         }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, DecodeVarintPairsMatchesScalarAtEveryTier) {
+  Rng rng(7);
+  // Pair counts around the 16-byte window and the multi-chain cut, and
+  // value widths from all-1-byte to mixed 1–5 bytes with some of 2^32
+  // and more (which every tier must leave to its caller).
+  std::vector<size_t> counts(std::begin(kSizes), std::end(kSizes));
+  counts.insert(counts.end(), {1023, 1024, 1025, 4095, 4096});
+  for (uint64_t limit : {uint64_t{128}, uint64_t{1} << 21,
+                         uint64_t{1} << 35}) {
+    for (size_t count : counts) {
+      std::vector<uint8_t> bytes;
+      std::vector<uint32_t> values;
+      for (size_t i = 0; i < 2 * count; ++i) {
+        const uint64_t value = rng.Next64() % limit >> (rng.Next64() % 30);
+        AppendVarint(&bytes, value);
+        values.push_back(uint32_t(value));
+      }
+      bytes.shrink_to_fit();  // exact size: ASan sees any overread
+      std::vector<uint32_t> expected(2 * count + 2, 0xDEADBEEF);
+      size_t expected_consumed = 0;
+      const size_t expected_taken =
+          simd::ForLevel(simd::Level::kScalar)
+              .decode_varint_pairs(bytes.data(), bytes.size(), count,
+                                   expected.data(), &expected_consumed);
+      if (limit <= uint64_t{1} << 32) {
+        ASSERT_EQ(expected_taken, count);
+        ASSERT_EQ(expected_consumed, bytes.size());
+        ASSERT_TRUE(std::equal(values.begin(), values.end(),
+                               expected.begin()));
+      }
+      for (simd::Level level : TestableLevels()) {
+        const std::string context = std::string(simd::LevelName(level)) +
+                                    " count=" + std::to_string(count) +
+                                    " limit=" + std::to_string(limit);
+        std::vector<uint32_t> actual(2 * count + 2, 0xDEADBEEF);
+        size_t consumed = 0;
+        const size_t taken = simd::ForLevel(level).decode_varint_pairs(
+            bytes.data(), bytes.size(), count, actual.data(), &consumed);
+        ASSERT_EQ(taken, expected_taken) << context;
+        ASSERT_EQ(consumed, expected_consumed) << context;
+        EXPECT_TRUE(std::equal(actual.begin(), actual.begin() + 2 * long(taken),
+                               expected.begin()))
+            << context;
+        EXPECT_EQ(actual[2 * count], 0xDEADBEEFu) << context;
+        EXPECT_EQ(actual[2 * count + 1], 0xDEADBEEFu) << context;
       }
     }
   }

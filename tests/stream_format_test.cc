@@ -19,8 +19,10 @@
 namespace setcover {
 namespace {
 
+// PID-qualified: the forced-SIMD-tier ctest matrix runs this binary
+// while ctest also runs its discovered cases, all on the same TempDir.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 EdgeStream SmallStream(StreamOrder order, uint64_t seed = 21) {
@@ -239,6 +241,40 @@ TEST_P(FormatMatrix, SeekPastTruncationReportsFlagsNotGarbage) {
   EXPECT_FALSE(reader->Next(&edge))
       << "read an edge from a region the file no longer contains";
   EXPECT_TRUE(reader->Truncated() || reader->ChecksumFailed());
+}
+
+// A CRC-valid chunk naming ids outside the header's m × n is damage:
+// every algorithm indexes its per-set and per-element state by id, so
+// the reader must stop there (ChecksumFailed, nothing surfaced) rather
+// than hand the ids on. Each id is checked: a set at m, an element at
+// n, both far out.
+TEST_P(FormatMatrix, OutOfRangeIdsMarkTheChunkDamaged) {
+  const ReadConfig config = GetParam();
+  StreamReadOptions options;
+  options.use_mmap = config.use_mmap;
+  options.prefetch = config.prefetch;
+  for (const Edge outside : {Edge{16, 0}, Edge{0, 16}, Edge{5000, 5000}}) {
+    EdgeStream stream;
+    stream.meta = {16, 16, 64};
+    for (uint32_t i = 0; i < 64; ++i) stream.edges.push_back({i % 16, i / 4});
+    stream.edges[37] = outside;
+    const std::string path = ConfigPath(
+        ("range_" + std::to_string(outside.set) + "_" +
+         std::to_string(outside.element))
+            .c_str(),
+        config);
+    std::string error;
+    ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error))
+        << error;
+
+    auto reader = OpenBatchEdgeReader(path, options, &error);
+    ASSERT_NE(reader, nullptr) << error;
+    EXPECT_TRUE(reader->NextBatch().empty())
+        << "set " << outside.set << ", element " << outside.element;
+    EXPECT_TRUE(reader->ChecksumFailed());
+    EXPECT_FALSE(reader->Truncated());
+    EXPECT_EQ(reader->EdgesRead(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
