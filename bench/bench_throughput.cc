@@ -4,8 +4,8 @@
 // this bench pins it down (items/s = edges/s).
 //
 // Ingestion goes through ProcessEdgeBatch in kIngestBatchEdges chunks —
-// the same path RunStream, RunStreamFromFile, and the run supervisor
-// use — so these numbers measure the deployed pipeline, not a
+// the same path RunStream and engine::Execute's one pull loop use —
+// so these numbers measure the deployed pipeline, not a
 // per-edge-virtual-call strawman. BM_NGuessThreads measures the
 // parallel multi-run driver across thread counts on the same stream.
 //
@@ -308,6 +308,58 @@ BENCHMARK(BM_BackendIngest)
     ->UseRealTime()  // the worker threads carry the load
     ->MinTime(0.5);
 
+// The supervised path's price: the plain in-memory engine::Execute job
+// against the same job with a kill switch past the end of the stream
+// (stop_after = N + 1), which arms the run's stop cut but never fires.
+// Both run engine::Drive's one pull loop, so the kill-switch row should
+// read within noise of the plain one. In-bench check: both rows
+// produce the same cover. Ungated: no baseline has these rows yet.
+void BM_SupervisedIngest(benchmark::State& state) {
+  const AlgKind kind = static_cast<AlgKind>(state.range(0));
+  const bool kill_switch = state.range(1) != 0;
+  const EdgeStream& stream = SharedStream();
+
+  engine::RunConfig config;
+  config.algorithm = KindName(kind);
+  config.options.seed = 3;
+  config.source = engine::SourceSpec::InMemory(stream);
+  engine::RunConfig armed = config;
+  armed.stop_after = stream.size() + 1;
+  const engine::RunConfig& run = kill_switch ? armed : config;
+
+  engine::RunReport report;
+  for (auto _ : state) {
+    report = engine::Execute(run);
+    if (!report.completed) {
+      state.SkipWithError(report.error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(report.solution.cover.size());
+  }
+  if (report.completed) {
+    const engine::RunReport other = engine::Execute(kill_switch ? config
+                                                                : armed);
+    if (report.solution.cover != other.solution.cover) {
+      state.SkipWithError("kill-switch and plain runs chose different covers");
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(stream.size()));
+  state.SetLabel(std::string("supervised-ingest/") + KindName(kind) +
+                 (kill_switch ? "/kill-switch" : "/plain"));
+  state.counters["stream_edges"] = double(stream.size());
+}
+
+BENCHMARK(BM_SupervisedIngest)
+    ->Args({kKkAlg, 0})
+    ->Args({kKkAlg, 1})
+    ->Args({kAdvLevel, 0})
+    ->Args({kAdvLevel, 1})
+    ->Args({kRandOrder, 0})
+    ->Args({kRandOrder, 1})
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.5);
+
 // ---- Offline-kernel rows: the bucket-queue greedy vs the lazy-heap
 // reference it replaced (identical outputs, greedy_kernel_test), the
 // counting-sort orderings, and the CSR instance build. items/s = edges/s
@@ -441,13 +493,15 @@ void BM_FileReplay(benchmark::State& state) {
 
   for (auto _ : state) {
     FirstSetPatching algorithm;
-    std::string error;
-    auto solution = RunStreamFromFile(algorithm, path, options, &error);
-    if (!solution.has_value()) {
-      state.SkipWithError(error.c_str());
+    engine::RunConfig run;
+    run.algorithm_instance = &algorithm;
+    run.source = engine::SourceSpec::File(path, options);
+    engine::RunReport report = engine::Execute(run);
+    if (!report.completed) {
+      state.SkipWithError(report.error.c_str());
       break;
     }
-    benchmark::DoNotOptimize(solution);
+    benchmark::DoNotOptimize(report.solution);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(stream.size()));

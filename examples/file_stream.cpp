@@ -3,9 +3,9 @@
 // and replay it through two algorithms without ever materializing it in
 // memory again — the deployment shape of a real one-pass system, where
 // the stream source is a log or a message queue rather than a vector.
-// Replay goes through the default read pipeline (mmap + background
-// prefetch decoder); pass StreamReadOptions to RunStreamFromFile to
-// turn either off.
+// Replay goes through engine::Execute with a file source and the
+// default read pipeline (mmap + background prefetch decoder); pass
+// StreamReadOptions to SourceSpec::File to turn either off.
 //
 //   $ ./build/examples/file_stream [work_dir]
 
@@ -14,6 +14,7 @@
 
 #include "core/kk_algorithm.h"
 #include "core/random_order.h"
+#include "engine/engine.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "stream/orderings.h"
@@ -60,14 +61,17 @@ int main(int argc, char** argv) {
   KkAlgorithm kk(7);
   RandomOrderAlgorithm alg1(7);
   for (Row row : {Row{"kk", &kk}, Row{"random-order", &alg1}}) {
-    auto solution = RunStreamFromFile(*row.algorithm, path, &error);
-    if (!solution.has_value()) {
-      std::printf("replay failed: %s\n", error.c_str());
+    engine::RunConfig config;
+    config.algorithm_instance = row.algorithm;
+    config.source = engine::SourceSpec::File(path);
+    engine::RunReport report = engine::Execute(config);
+    if (!report.completed) {
+      std::printf("replay failed: %s\n", report.error.c_str());
       return 1;
     }
-    ValidationResult check = ValidateSolution(instance, *solution);
+    ValidationResult check = ValidateSolution(instance, report.solution);
     std::printf("%-14s cover=%4zu valid=%s peak_words=%zu\n", row.label,
-                solution->cover.size(), check.ok ? "yes" : "NO",
+                report.solution.cover.size(), check.ok ? "yes" : "NO",
                 row.algorithm->Meter().PeakWords());
   }
   std::remove(path.c_str());

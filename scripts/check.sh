@@ -38,8 +38,11 @@
 # src/server/ must stay a pure engine client (no includes of the
 # core/instance/algorithm layers), raw shared-memory plumbing
 # (memfd_create / SCM_RIGHTS fd passing) stays confined to
-# src/util/shm_ring.* and src/server/transport.*, and process control
-# (fork / waitpid / execve) appears nowhere: every run is in-process.
+# src/util/shm_ring.* and src/server/transport.*, process control
+# (fork / waitpid / execve) appears nowhere: every run is in-process,
+# and no code in src/ or tools/ pulls edges one record at a time
+# (Next(Edge*) / Next(&...)): every source is pulled through
+# EdgeSource::NextBatch.
 #
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
@@ -136,6 +139,18 @@ if [[ -n "$FORK_HITS" ]]; then
   echo "$FORK_HITS"
   echo "layering guard: fork/waitpid/execve in src/ tools/ examples/;"
   echo "fan work out over engine::Execute worker threads (backend.workers)"
+  exit 1
+fi
+# Every run pulls through one batch-shaped interface: sources hand out
+# spans (EdgeSource::NextBatch), and engine::Drive is the one loop that
+# cuts them. A per-record pull would bring back a second, per-edge
+# drive loop beside it.
+NEXT_HITS=$(grep -rnE 'Next\(Edge ?\*|Next\(&' src/ tools/ || true)
+if [[ -n "$NEXT_HITS" ]]; then
+  echo "$NEXT_HITS"
+  echo "layering guard: per-record Next() pull in src/ or tools/;"
+  echo "pull spans through EdgeSource::NextBatch (stream/edge_source.h)"
+  echo "and let engine::Drive cut them"
   exit 1
 fi
 echo "layering guard: clean"

@@ -126,7 +126,7 @@ void ProcessBatchCheckedForEquivalence(StreamingSetCoverAlgorithm& algorithm,
 
 /// Feeds a whole materialized stream through `algorithm` in
 /// kIngestBatchEdges-sized batches and finalizes. This is the reference
-/// drive primitive the engine's fast paths are pinned against
+/// drive primitive the engine's pull loop is pinned against
 /// (tests/engine_equivalence_test.cc); production callers should go
 /// through engine::Execute, which adds sources, fault tolerance,
 /// checkpointing, and reporting around the same loop.

@@ -26,18 +26,22 @@ namespace engine {
 /// injection, checkpointing, batching, validation, worker count — and
 /// Execute() assembles W >= 1 set-partitioned pipelines
 ///
-///   source -> schedule -> fault injector -> shard filter -> batcher
+///   source -> schedule -> fault injector -> shard filter -> Drive()
 ///          -> algorithm -> finalize
 ///
 /// merges their covers through the paper's §3 deterministic t-party
 /// protocol when W > 1, validates, and returns one unified RunReport.
-/// At W = 1 there is no filter, no thread pool and no merge: the one
-/// pipeline runs on the calling thread. BestOfRuns, the bench
-/// harnesses, RunStreamFromFile, and the CLI are all thin clients of
-/// this seam (docs/architecture.md has the layer diagram); the only
-/// drive loop outside src/engine/ is the header-inline RunStream in
-/// core/streaming_algorithm.h, kept as the reference primitive that
-/// tests/engine_equivalence_test.cc pins the engine against.
+/// Each layer is a batch-shaped EdgeSource (stream/edge_source.h) that
+/// passes spans through, present only when the config asks for it, and
+/// Drive() is the one loop that pulls them: every run, checkpointed,
+/// faulty, scheduled or killed or not, takes the same loop. At W = 1
+/// there is no filter, no thread pool and no merge: the one pipeline
+/// runs on the calling thread. BestOfRuns, the bench harnesses and the
+/// CLI are all thin clients of this seam (docs/architecture.md has the
+/// layer diagram); the only drive loop outside src/engine/ is the
+/// header-inline RunStream in core/streaming_algorithm.h, kept as the
+/// reference primitive that tests/engine_equivalence_test.cc pins the
+/// engine against.
 ///
 /// Equivalence contract: for the same (algorithm, seed, edges), every
 /// engine path produces bit-identical covers, certificates, meter
@@ -57,8 +61,8 @@ struct SourceSpec {
   /// Stream schedule layered over the raw source: k repeated passes
   /// (multi-pass algorithms), or a sliding-window replay feed
   /// (duplicate-heavy arrival simulation). The default is the trivial
-  /// one-pass schedule. Non-trivial schedules run supervised; windowed
-  /// schedules are not checkpointable. See stream/schedule.h.
+  /// one-pass schedule; windowed schedules are not checkpointable. See
+  /// stream/schedule.h.
   ScheduleSpec schedule;
 
   static SourceSpec InMemory(const EdgeStream& stream) {
@@ -189,7 +193,7 @@ struct RunReport {
   ValidationResult validation;
 };
 
-/// Knobs of the supervised drive loop.
+/// Knobs of the pull loop.
 struct DriveOptions {
   /// Sidecar checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
@@ -233,12 +237,15 @@ struct DriveOptions {
   size_t batch_edges = kIngestBatchEdges;
 };
 
-/// Low-level entry point: drives `algorithm` over a caller-assembled
-/// `source` to completion under full supervision — periodic CRC'd
-/// checkpoints, crash resume with bit-identical continuation, bounded
-/// retries on transient faults, skip-and-count on corrupt records, and
-/// graceful degradation to a certified partial cover when the stream
-/// cannot be fully consumed.
+/// The engine's one pull loop, and the low-level entry point: drives
+/// `algorithm` over a caller-assembled `source` to completion under
+/// full supervision — periodic CRC'd checkpoints, crash resume with
+/// bit-identical continuation, bounded retries on transient faults,
+/// skip-and-count on corrupt records, and graceful degradation to a
+/// certified partial cover when the stream cannot be fully consumed.
+/// Each pull asks the source for at most the distance to the next cut
+/// (batch end, checkpoint position, stop_after); a span that reaches
+/// the cut goes to the algorithm in place, with no copy.
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source);
 
@@ -329,16 +336,12 @@ struct RunConfig {
   BackendSpec backend;
 };
 
-/// Assembles the W pipelines described by `config`, runs them, merges,
-/// and returns the unified report. Unsupervised configurations (no
-/// faults, no checkpointing, no kill switch, default batch size,
-/// trivial schedule) take the zero-copy fast loops — span-sliced
-/// batches for in-memory streams, chunk-aligned reader batches for
-/// files; each shard of a W > 1 run walks the whole source once and
-/// screens its slice out of it (a SIMD kernel under the power-of-two
-/// mask owner) into full batches — which are bit-identical to the
-/// supervised loop; supervised configurations run each shard under
-/// Drive().
+/// Assembles the W pipelines described by `config`, runs each under
+/// Drive(), merges, and returns the unified report. At W = 1 in-memory
+/// spans and file chunks reach the algorithm in place; each shard of a
+/// W > 1 run walks the whole source once and screens its slice out of
+/// it (a SIMD kernel under the power-of-two mask owner) into full
+/// batches, the run's only copy of its edges.
 RunReport Execute(const RunConfig& config);
 
 }  // namespace engine

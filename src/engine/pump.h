@@ -28,12 +28,11 @@ inline uint64_t CountUncovered(const CoverSolution& solution) {
 }
 
 /// One pipeline of a run: its algorithm plus the RunReport its counters
-/// accumulate in. Every drive loop in src/engine/ feeds one — Drive()'s
-/// per-record supervisor, the fast loops of Execute(), and each of a
-/// Session's W pipelines — and keeps only its own cut-point logic
-/// (where batches end, when to checkpoint, when to stop). The pump is
-/// push-shaped: start, feed batches, snapshot, finish. Feed() is the
-/// engine's only ProcessEdgeBatch call. Internal to src/engine/.
+/// accumulate in. Drive()'s pull loop (every Execute() run) and each of
+/// a Session's W pipelines feed one, and keep only their own cut-point
+/// logic (where batches end, when to checkpoint, when to stop). The
+/// pump is push-shaped: start, feed batches, snapshot, finish. Feed()
+/// is the engine's only ProcessEdgeBatch call. Internal to src/engine/.
 class Pump {
  public:
   /// Drives a caller-owned algorithm, which must outlive the pump.
@@ -54,7 +53,7 @@ class Pump {
   void Feed(std::span<const Edge> batch);
 
   /// Feed() through ProcessBatchCheckedForEquivalence: the debug-build
-  /// batch/per-edge spot check of the in-memory fast loop.
+  /// batch/per-edge spot check of an in-memory run's first batch.
   void FeedSpotChecked(std::span<const Edge> batch);
 
   /// The recoverable state at stream `position` and exactly-once

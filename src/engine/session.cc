@@ -14,39 +14,6 @@ namespace {
 using internal::Clock;
 using internal::Seconds;
 
-/// EdgeSource over one ingest batch, positioned at the session's
-/// absolute stream coordinate so the fault injector's (seed, position)
-/// decisions match a whole-stream run exactly. End-of-span reads as
-/// kEnd — "end of this batch", not end of the session's stream.
-class SpanEdgeSource : public EdgeSource {
- public:
-  SpanEdgeSource(const StreamMetadata& meta, std::span<const Edge> edges,
-                 uint64_t base_position)
-      : meta_(meta), edges_(edges), base_(base_position) {}
-
-  const StreamMetadata& Meta() const override { return meta_; }
-
-  ReadStatus Next(Edge* edge) override {
-    if (offset_ >= edges_.size()) return ReadStatus::kEnd;
-    *edge = edges_[offset_++];
-    return ReadStatus::kOk;
-  }
-
-  size_t Position() const override { return base_ + offset_; }
-
-  bool SeekTo(size_t position) override {
-    if (position < base_ || position > base_ + edges_.size()) return false;
-    offset_ = position - base_;
-    return true;
-  }
-
- private:
-  const StreamMetadata& meta_;
-  std::span<const Edge> edges_;
-  uint64_t base_;
-  size_t offset_ = 0;
-};
-
 /// The sessions' set-id split; W > 1 checkpoints record its name.
 const ShardPartitioner& Partitioner() {
   static const ShardPartitioner partitioner = SetModuloPartitioner();
@@ -139,21 +106,23 @@ uint64_t Session::EdgesDelivered() const {
 
 bool Session::FeedWithFaults(std::span<const Edge> edges,
                              std::string* error) {
-  // A fresh injector per batch: all its replay state (transient
+  // A fresh injector per batch, over the batch at the session's
+  // absolute stream coordinate, so its (seed, position) decisions match
+  // a whole-stream run exactly. All its replay state (transient
   // countdowns, owed duplicates) lives strictly inside one batch —
   // duplicates are delivered before the span's kEnd, so nothing
   // straddles batches and checkpoints at batch boundaries never see
-  // pending replay.
-  SpanEdgeSource span_source(config_.meta, edges, position_);
+  // pending replay. Nothing reaches the pump until the whole batch has
+  // been pulled, so a failed batch is rejected whole.
+  VectorEdgeSource span_source(config_.meta, edges, position_);
   FaultInjector injector(&span_source, *config_.faults);
   std::vector<Edge>& delivery = slices_[0];
   delivery.clear();
   ExponentialBackoff retry(config_.backoff);
   uint64_t transient_seen = 0, corrupt_seen = 0;
-  Edge edge;
   for (;;) {
-    const ReadStatus status = injector.Next(&edge);
-    if (status == ReadStatus::kTransient) {
+    const EdgeBatch batch = injector.NextBatch(kIngestBatchEdges);
+    if (batch.status == ReadStatus::kTransient) {
       uint64_t delay_us = 0;
       if (!retry.NextDelay(&delay_us)) {
         // Budget exhausted before anything reached the algorithm: the
@@ -166,12 +135,12 @@ bool Session::FeedWithFaults(std::span<const Edge> edges,
       continue;  // the server never sleeps; clients own pacing
     }
     retry.Reset();
-    if (status == ReadStatus::kEnd) break;
-    if (status == ReadStatus::kCorrupt) {
+    if (batch.status == ReadStatus::kEnd) break;
+    if (batch.status == ReadStatus::kCorrupt) {
       ++corrupt_seen;
       continue;
     }
-    delivery.push_back(edge);
+    delivery.insert(delivery.end(), batch.edges.begin(), batch.edges.end());
   }
   internal::Pump& pump = pumps_[0];
   if (!delivery.empty()) pump.Feed(delivery);

@@ -2,16 +2,114 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <type_traits>
 #include <utility>
 
 #include "comm/deterministic_protocol.h"
 #include "comm/protocol.h"
 #include "engine/pump.h"
 #include "util/math.h"
+#include "util/simd.h"
 
 namespace setcover {
 namespace engine {
 namespace internal {
+namespace {
+
+// The shortest slice the shard filter screens at once. A slice longer
+// than the records a batch still needs may pass the record that fills
+// it; the filter then cuts the slice right after that record.
+constexpr size_t kMinScreen = 256;
+
+// The mask owner's screen reads an Edge array as interleaved
+// (set, element) pairs.
+static_assert(sizeof(Edge) == 2 * sizeof(uint32_t) &&
+              offsetof(Edge, set) == 0 &&
+              offsetof(Edge, element) == sizeof(uint32_t));
+
+}  // namespace
+
+size_t ShardFilterSource::Screen(std::span<const Edge> slice,
+                                 Edge* out) const {
+  size_t found = 0;
+  WithOwner(partitioner_, shards_, [&](auto owner) {
+    if constexpr (std::is_same_v<decltype(owner), MaskOwner>) {
+      found = simd::Active().select_masked_pairs(
+          reinterpret_cast<const uint32_t*>(slice.data()), slice.size(),
+          owner.mask, shard_, reinterpret_cast<uint32_t*>(out));
+    } else {
+      for (const Edge& e : slice) {
+        out[found] = e;  // branch-free emit
+        found += owner(e.set) == shard_ ? 1 : 0;
+      }
+    }
+  });
+  return found;
+}
+
+EdgeBatch ShardFilterSource::NextBatch(size_t max_edges) {
+  if (held_) {
+    held_ = false;
+    return held_event_;
+  }
+  if (out_.size() < max_edges + kMinScreen) {
+    out_.resize(max_edges + kMinScreen);
+  }
+  size_t filled = 0;
+  for (;;) {
+    if (rest_.empty()) {
+      // Records the inner source replays at one position come one per
+      // pull, so rest_ only ever spans consecutive positions.
+      const EdgeBatch batch =
+          inner_->NextBatch(inner_->HasPendingReplay() ? 1 : max_edges);
+      if (batch.status == ReadStatus::kOk) {
+        rest_ = batch.edges;
+      } else if (batch.status == ReadStatus::kCorrupt &&
+                 OwnerOf(batch.edges[0].set) != shard_) {
+        continue;  // another shard's record
+      } else if (filled == 0) {
+        return batch;
+      } else {
+        held_ = true;
+        held_event_ = batch;
+        if (batch.status == ReadStatus::kCorrupt) {
+          held_corrupt_ = batch.edges[0];
+          held_event_.edges = {&held_corrupt_, 1};
+        }
+        return {ReadStatus::kOk, {out_.data(), filled}};
+      }
+    }
+    const size_t need = max_edges - filled;
+    const std::span<const Edge> slice =
+        rest_.first(std::min(rest_.size(), std::max(need, kMinScreen)));
+    const size_t found = Screen(slice, out_.data() + filled);
+    if (found == 0) {
+      rest_ = rest_.subspan(slice.size());
+      continue;
+    }
+    // The last record kept is the need-th owned one when the slice
+    // fills the batch, the slice's last owned one otherwise.
+    const size_t kept = std::min(found, need);
+    size_t last = slice.size();
+    for (size_t surplus = found - kept;;) {
+      --last;
+      if (OwnerOf(slice[last].set) != shard_) continue;
+      if (surplus == 0) break;
+      --surplus;
+    }
+    filled += kept;
+    if (filled == max_edges) {
+      rest_ = rest_.subspan(last + 1);
+      return {ReadStatus::kOk, {out_.data(), filled}};
+    }
+    rest_ = rest_.subspan(slice.size());
+    held_position_ =
+        inner_->Position() - rest_.size() - (slice.size() - last - 1);
+    held_pending_replay_ = rest_.empty() && last + 1 == slice.size() &&
+                           inner_->HasPendingReplay();
+  }
+}
 
 bool LoadResumeSlots(const std::string& path, uint32_t shards,
                      const std::string& partitioner_name,

@@ -22,14 +22,10 @@ namespace internal {
 
 using CheckpointSink = std::function<bool(const Checkpoint&, std::string*)>;
 
-// Owner functors for the fast loops' shard screens: W = 1 owns
-// everything (the fast loops then skip the screen altogether), the
-// set-modulo default is a mask at power-of-two W (screened by the
-// select_masked_pairs SIMD kernel) and one integer modulo per edge
-// otherwise; only custom partitioners pay a std::function call.
-struct KeepAll {
-  uint32_t operator()(SetId) const { return 0; }
-};
+// Owner functors of the W > 1 shard screens: the set-modulo default
+// is a mask at power-of-two W (screened by the select_masked_pairs SIMD
+// kernel) and one integer modulo per edge otherwise; only custom
+// partitioners pay a std::function call.
 struct MaskOwner {
   uint32_t mask;
   uint32_t operator()(SetId s) const { return s & mask; }
@@ -47,9 +43,7 @@ struct FnOwner {
 template <typename Fn>
 void WithOwner(const ShardPartitioner& partitioner, uint32_t shards,
                Fn&& fn) {
-  if (shards == 1) {
-    fn(KeepAll{});
-  } else if (!partitioner.index) {
+  if (!partitioner.index) {
     if ((shards & (shards - 1)) == 0) {
       fn(MaskOwner{shards - 1});
     } else {
@@ -60,10 +54,19 @@ void WithOwner(const ShardPartitioner& partitioner, uint32_t shards,
   }
 }
 
-/// Supervised-path filter: surfaces exactly this shard's slice of the
-/// (possibly fault-injected) record sequence. Stateless, so the inner
-/// source's positions remain the checkpoint coordinate — Position,
-/// SeekTo, and replay state pass straight through.
+/// Shard `shard`'s view of a W > 1 run: exactly its slice of the
+/// (possibly scheduled, possibly fault-injected) record sequence. Each
+/// pull screens the inner source's spans into one batch of up to
+/// `max_edges` owned records — the run's only copy of them. A kCorrupt
+/// record reaches exactly one shard, the owner of its (possibly
+/// damaged) set id, so the aggregate corrupt count stays W-invariant.
+///
+/// The filter stops right after the record that fills the batch and
+/// keeps the rest of the inner span for the next pull, so Position()
+/// is always the inner position right after the shard's last delivered
+/// record — the coordinate the shard's checkpoint slot stores. An inner
+/// event met after some owned records is held back and returned by the
+/// next pull.
 class ShardFilterSource : public EdgeSource {
  public:
   ShardFilterSource(EdgeSource* inner, uint32_t shard, uint32_t shards,
@@ -74,24 +77,18 @@ class ShardFilterSource : public EdgeSource {
         partitioner_(partitioner) {}
 
   const StreamMetadata& Meta() const override { return inner_->Meta(); }
-
-  ReadStatus Next(Edge* edge) override {
-    for (;;) {
-      const ReadStatus status = inner_->Next(edge);
-      if (status == ReadStatus::kTransient || status == ReadStatus::kEnd) {
-        return status;
-      }
-      // kOk and kCorrupt records both carry a set id (a corrupt one
-      // possibly damaged); exactly one shard surfaces each record, so
-      // the aggregate corrupt count stays W-invariant.
-      if (OwnerOf(edge->set) == shard_) return status;
-    }
+  EdgeBatch NextBatch(size_t max_edges) override;
+  size_t Position() const override {
+    return held_ ? held_position_ : inner_->Position() - rest_.size();
   }
-
-  size_t Position() const override { return inner_->Position(); }
-  bool SeekTo(size_t position) override { return inner_->SeekTo(position); }
+  bool SeekTo(size_t position) override {
+    rest_ = {};
+    held_ = false;
+    return inner_->SeekTo(position);
+  }
   bool HasPendingReplay() const override {
-    return inner_->HasPendingReplay();
+    if (held_) return held_pending_replay_;
+    return rest_.empty() && inner_->HasPendingReplay();
   }
   bool Truncated() const override { return inner_->Truncated(); }
 
@@ -100,11 +97,25 @@ class ShardFilterSource : public EdgeSource {
     return partitioner_.index ? partitioner_.index(s, shards_)
                               : s % shards_;
   }
+  /// Copies the shard's records of `slice` to `out`, in order, and
+  /// returns how many; `out` has room for the whole slice.
+  size_t Screen(std::span<const Edge> slice, Edge* out) const;
 
   EdgeSource* inner_;
   uint32_t shard_;
   uint32_t shards_;
   const ShardPartitioner& partitioner_;
+
+  std::vector<Edge> out_;
+  /// The unscreened tail of the inner source's last kOk span.
+  std::span<const Edge> rest_;
+  /// An inner event held back behind a batch of owned records, and the
+  /// position and replay state right after that batch's last record.
+  bool held_ = false;
+  EdgeBatch held_event_;
+  Edge held_corrupt_{0, 0};
+  size_t held_position_ = 0;
+  bool held_pending_replay_ = false;
 };
 
 /// Loads the resume slots for a W-way run from `path`. W == 1 reads a

@@ -11,7 +11,7 @@ namespace {
 
 constexpr uint32_t kMagic = 0x504B4353u;  // "SCKP" little-endian
 // v2 added session_sequence (the session server's exactly-once cursor);
-// v1 files load with session_sequence = 0.
+// v1 files, which lack it, are refused.
 constexpr uint32_t kVersion = 2;
 
 constexpr uint32_t kShardedMagic = 0x48534353u;  // "SCSH" little-endian
@@ -105,8 +105,7 @@ void AppendCheckpointBody(std::vector<uint8_t>* bytes,
   }
 }
 
-bool ParseCheckpointBody(ByteReader* in, uint32_t version,
-                         Checkpoint* checkpoint) {
+bool ParseCheckpointBody(ByteReader* in, Checkpoint* checkpoint) {
   if (!in->String(&checkpoint->algorithm_name)) return false;
   checkpoint->meta.num_sets = in->U32();
   checkpoint->meta.num_elements = in->U32();
@@ -116,7 +115,7 @@ bool ParseCheckpointBody(ByteReader* in, uint32_t version,
   checkpoint->transient_retries = in->U64();
   checkpoint->corrupt_skipped = in->U64();
   checkpoint->faults_survived = in->U64();
-  checkpoint->session_sequence = version >= 2 ? in->U64() : 0;
+  checkpoint->session_sequence = in->U64();
   const uint64_t state_len = in->U64();
   if (!in->ok || state_len > (in->size - in->pos) / 8) return false;
   checkpoint->state_words.clear();
@@ -151,11 +150,10 @@ bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
   return true;
 }
 
-/// Loads `path`, verifies header magic/version bounds and the trailing
-/// CRC, and leaves a ByteReader positioned after the version field.
-bool LoadVerified(const std::string& path, uint32_t magic,
-                  uint32_t max_version, std::vector<uint8_t>* bytes,
-                  uint32_t* version, std::string* error) {
+/// Loads `path` and verifies its header magic, its version (exactly
+/// `version`) and the trailing CRC.
+bool LoadVerified(const std::string& path, uint32_t magic, uint32_t version,
+                  std::vector<uint8_t>* bytes, std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     if (error != nullptr) *error = "cannot open checkpoint " + path;
@@ -169,9 +167,17 @@ bool LoadVerified(const std::string& path, uint32_t magic,
 
   ByteReader in{bytes->data(), bytes->size()};
   const uint32_t file_magic = in.U32();
-  *version = in.U32();
-  if (file_magic != magic || *version < 1 || *version > max_version) {
+  const uint32_t file_version = in.U32();
+  if (!in.ok || file_magic != magic) {
     if (error != nullptr) *error = path + ": not a checkpoint file";
+    return false;
+  }
+  if (file_version != version) {
+    if (error != nullptr)
+      *error = path + ": checkpoint format version " +
+               std::to_string(file_version) +
+               " is not supported (this build reads version " +
+               std::to_string(version) + ")";
     return false;
   }
   // The trailing CRC covers everything between the magic and itself.
@@ -203,13 +209,12 @@ bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
 std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
                                          std::string* error) {
   std::vector<uint8_t> bytes;
-  uint32_t version = 0;
-  if (!LoadVerified(path, kMagic, kVersion, &bytes, &version, error)) {
+  if (!LoadVerified(path, kMagic, kVersion, &bytes, error)) {
     return std::nullopt;
   }
   ByteReader in{bytes.data(), bytes.size(), /*pos=*/8};
   Checkpoint checkpoint;
-  if (!ParseCheckpointBody(&in, version, &checkpoint) ||
+  if (!ParseCheckpointBody(&in, &checkpoint) ||
       in.pos + 4 != bytes.size()) {
     if (error != nullptr) *error = path + ": malformed checkpoint";
     return std::nullopt;
@@ -247,9 +252,7 @@ bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
 std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
     const std::string& path, std::string* error) {
   std::vector<uint8_t> bytes;
-  uint32_t version = 0;
-  if (!LoadVerified(path, kShardedMagic, kShardedVersion, &bytes, &version,
-                    error)) {
+  if (!LoadVerified(path, kShardedMagic, kShardedVersion, &bytes, error)) {
     return std::nullopt;
   }
   ByteReader in{bytes.data(), bytes.size(), /*pos=*/8};
@@ -272,7 +275,7 @@ std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
     if (present == 0) continue;
     Checkpoint slot;
     // Slot bodies always use the current single-run layout.
-    if (!ParseCheckpointBody(&in, kVersion, &slot)) {
+    if (!ParseCheckpointBody(&in, &slot)) {
       if (error != nullptr) *error = path + ": malformed checkpoint";
       return std::nullopt;
     }

@@ -23,12 +23,12 @@ namespace setcover {
 ///   m u32, n u32, N u64
 ///   stream_position u64, edges_delivered u64
 ///   transient_retries u64, corrupt_skipped u64, faults_survived u64
-///   session_sequence u64                          (v2; v1 reads as 0)
+///   session_sequence u64
 ///   state_len u64, state words (u64 each)
 ///   crc u32 — CRC-32 of every byte after the magic
 ///
-/// Version 1 files (no session_sequence field) still load; the writer
-/// always emits version 2.
+/// Any other version — version 1 files, which had no session_sequence
+/// field, included — is refused with an error naming the version.
 ///
 /// SaveCheckpoint stages into `path + ".tmp"` and atomically renames, so
 /// the previous valid checkpoint survives a crash mid-save; Load
@@ -55,7 +55,7 @@ struct Checkpoint {
   /// (src/server/): after a crash the server tells the client this
   /// value and the client re-sends from session_sequence + 1, so a
   /// retried batch is applied exactly once. 0 for single-shot engine
-  /// runs (and for v1 files).
+  /// runs.
   uint64_t session_sequence = 0;
 
   /// The algorithm's EncodeState words.

@@ -1,16 +1,20 @@
 #include "stream/edge_source.h"
 
+#include <algorithm>
+
 namespace setcover {
 
-ReadStatus VectorEdgeSource::Next(Edge* edge) {
-  if (position_ >= stream_.edges.size()) return ReadStatus::kEnd;
-  *edge = stream_.edges[position_++];
-  return ReadStatus::kOk;
+EdgeBatch VectorEdgeSource::NextBatch(size_t max_edges) {
+  if (offset_ >= edges_.size()) return {ReadStatus::kEnd, {}};
+  const size_t take = std::min(max_edges, edges_.size() - offset_);
+  const std::span<const Edge> batch = edges_.subspan(offset_, take);
+  offset_ += take;
+  return {ReadStatus::kOk, batch};
 }
 
 bool VectorEdgeSource::SeekTo(size_t position) {
-  if (position > stream_.edges.size()) return false;
-  position_ = position;
+  if (position < base_ || position > base_ + edges_.size()) return false;
+  offset_ = position - base_;
   return true;
 }
 
@@ -28,16 +32,23 @@ std::unique_ptr<StreamFileSource> StreamFileSource::Open(
       new StreamFileSource(std::move(reader)));
 }
 
-ReadStatus StreamFileSource::Next(Edge* edge) {
-  if (reader_->Next(edge)) return ReadStatus::kOk;
-  if (reader_->ChecksumFailed() && !corrupt_reported_) {
-    // Report the damaged chunk once; the reader already refuses to
-    // surface its edges, so the stream effectively ends here.
-    corrupt_reported_ = true;
-    *edge = Edge{0, 0};
-    return ReadStatus::kCorrupt;
+EdgeBatch StreamFileSource::NextBatch(size_t max_edges) {
+  if (rest_.empty()) {
+    rest_ = reader_->NextBatch();
+    if (rest_.empty()) {
+      if (reader_->ChecksumFailed() && !corrupt_reported_) {
+        // Report the damaged chunk once; the reader already refuses to
+        // surface its edges, so the stream effectively ends here.
+        corrupt_reported_ = true;
+        return {ReadStatus::kCorrupt, {&corrupt_, 1}};
+      }
+      return {ReadStatus::kEnd, {}};
+    }
   }
-  return ReadStatus::kEnd;
+  const std::span<const Edge> batch =
+      rest_.first(std::min(max_edges, rest_.size()));
+  rest_ = rest_.subspan(batch.size());
+  return {ReadStatus::kOk, batch};
 }
 
 }  // namespace setcover

@@ -2,6 +2,7 @@
 #define SETCOVER_STREAM_EDGE_SOURCE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "stream/stream.h"
@@ -9,20 +10,39 @@
 
 namespace setcover {
 
-/// Outcome of pulling one record from an EdgeSource.
+/// Outcome of one pull from an EdgeSource.
 enum class ReadStatus {
-  kOk,         // *edge holds the next stream item
+  kOk,         // the pull returned records
   kEnd,        // the stream is exhausted (or ended early — see Truncated)
   kTransient,  // momentary failure; retrying the same call may succeed
   kCorrupt,    // the record was damaged and must not reach an algorithm
 };
 
-/// A positioned, resumable supply of stream edges — what the run
-/// supervisor drives algorithms from. Unlike the raw in-memory
-/// EdgeStream, an EdgeSource can fail: Next() reports transient faults
-/// (worth retrying) and corrupt records (detected, skipped, counted)
-/// distinctly from end-of-stream, which is what makes a supervised run
-/// recoverable.
+/// What one NextBatch() call returns: kOk with 1..max_edges records,
+/// kCorrupt with exactly its one damaged record (for diagnostics), or
+/// kTransient / kEnd with none. `edges` aliases storage owned by the
+/// source (or by whatever it reads from) and stays valid until the
+/// next NextBatch() or SeekTo() on that source.
+struct EdgeBatch {
+  ReadStatus status = ReadStatus::kEnd;
+  std::span<const Edge> edges;
+};
+
+/// A positioned, resumable supply of stream edges — what engine::Drive
+/// pulls every run from. Unlike the raw in-memory EdgeStream, an
+/// EdgeSource can fail: NextBatch() reports transient faults (worth
+/// retrying) and corrupt records (detected, skipped, counted) distinctly
+/// from end-of-stream, which is what makes a supervised run recoverable.
+///
+/// Sources are batch-shaped and stack as span transforms (file or
+/// memory -> schedule -> fault injector -> shard filter). The batch
+/// contract: for any sequence of `max_edges` >= 1, the concatenated
+/// records and events a source yields are the same, and Position() and
+/// HasPendingReplay() after a call are their values right after the
+/// call's last record. No source consumes input past what it returns
+/// (or it accounts for the surplus in Position()). Records of a kOk
+/// batch pulled while HasPendingReplay() is false occupy consecutive
+/// positions, so a layer above can tell each record's position.
 ///
 /// `Position()` counts *underlying* records consumed, which is the
 /// coordinate checkpoints store and SeekTo() restores; a conforming
@@ -35,10 +55,9 @@ class EdgeSource {
 
   virtual const StreamMetadata& Meta() const = 0;
 
-  /// Pulls the next record. On kOk, *edge is the item; on kCorrupt,
-  /// *edge holds the damaged record (for diagnostics) and the position
-  /// still advances past it; on kTransient/kEnd, *edge is untouched.
-  virtual ReadStatus Next(Edge* edge) = 0;
+  /// Pulls the next records, at most `max_edges` (>= 1) of them, or
+  /// the next event. The position advances past a kCorrupt record.
+  virtual EdgeBatch NextBatch(size_t max_edges) = 0;
 
   /// Underlying records consumed so far.
   virtual size_t Position() const = 0;
@@ -58,25 +77,34 @@ class EdgeSource {
   virtual bool Truncated() const { return false; }
 };
 
-/// In-memory source over a materialized EdgeStream (tests, CLI solve).
+/// In-memory source over a span of edges that starts at stream
+/// position `base_position` (0 for a whole materialized EdgeStream; a
+/// session's cursor for one ingest batch, where end-of-span reads as
+/// kEnd). Every kOk batch aliases the span itself: no copy.
 class VectorEdgeSource : public EdgeSource {
  public:
-  explicit VectorEdgeSource(const EdgeStream& stream) : stream_(stream) {}
+  explicit VectorEdgeSource(const EdgeStream& stream)
+      : VectorEdgeSource(stream.meta, stream.edges, 0) {}
+  VectorEdgeSource(const StreamMetadata& meta, std::span<const Edge> edges,
+                   size_t base_position)
+      : meta_(meta), edges_(edges), base_(base_position) {}
 
-  const StreamMetadata& Meta() const override { return stream_.meta; }
-  ReadStatus Next(Edge* edge) override;
-  size_t Position() const override { return position_; }
+  const StreamMetadata& Meta() const override { return meta_; }
+  EdgeBatch NextBatch(size_t max_edges) override;
+  size_t Position() const override { return base_ + offset_; }
   bool SeekTo(size_t position) override;
 
  private:
-  const EdgeStream& stream_;
-  size_t position_ = 0;
+  const StreamMetadata& meta_;
+  std::span<const Edge> edges_;
+  size_t base_;
+  size_t offset_ = 0;
 };
 
-/// File-backed source over the binary stream-file format. Surfaces a
-/// chunk checksum failure as one kCorrupt status (position skips to the
-/// end of the damaged chunk, after which the stream ends) and early EOF
-/// as kEnd with Truncated() set.
+/// File-backed source over the binary stream-file format. Hands out the
+/// reader's CRC-verified chunk spans in place, cut at `max_edges`.
+/// Surfaces a chunk checksum failure as one kCorrupt record (after
+/// which the stream ends) and early EOF as kEnd with Truncated() set.
 class StreamFileSource : public EdgeSource {
  public:
   /// Opens `path` with default read options (mmap + prefetch); nullptr
@@ -88,9 +116,12 @@ class StreamFileSource : public EdgeSource {
       std::string* error);
 
   const StreamMetadata& Meta() const override { return reader_->Meta(); }
-  ReadStatus Next(Edge* edge) override;
-  size_t Position() const override { return reader_->EdgesRead(); }
+  EdgeBatch NextBatch(size_t max_edges) override;
+  size_t Position() const override {
+    return reader_->EdgesRead() - rest_.size();
+  }
   bool SeekTo(size_t position) override {
+    rest_ = {};
     corrupt_reported_ = false;
     return reader_->SeekToEdge(position);
   }
@@ -106,6 +137,9 @@ class StreamFileSource : public EdgeSource {
       : reader_(std::move(reader)) {}
 
   std::unique_ptr<BatchEdgeReader> reader_;
+  /// The part of the reader's last chunk span not yet handed out.
+  std::span<const Edge> rest_;
+  Edge corrupt_{0, 0};
   bool corrupt_reported_ = false;
 };
 

@@ -54,22 +54,20 @@ FaultKind FaultInjector::KindAt(size_t p) const {
 }
 
 size_t FaultInjector::Position() const {
-  return pending_duplicate_.has_value() ? pending_position_
-                                        : base_->Position();
+  return duplicate_pending_ ? pending_position_ : base_->Position();
 }
 
 bool FaultInjector::SeekTo(size_t position) {
   if (!base_->SeekTo(position)) return false;
-  pending_duplicate_.reset();
+  duplicate_pending_ = false;
   transient_delivered_ = 0;
   return true;
 }
 
-ReadStatus FaultInjector::Next(Edge* edge) {
-  if (pending_duplicate_.has_value()) {
-    *edge = *pending_duplicate_;
-    pending_duplicate_.reset();
-    return ReadStatus::kOk;
+EdgeBatch FaultInjector::NextBatch(size_t max_edges) {
+  if (duplicate_pending_) {
+    duplicate_pending_ = false;
+    return {ReadStatus::kOk, {&duplicate_, 1}};
   }
   for (;;) {
     const size_t p = base_->Position();
@@ -78,33 +76,44 @@ ReadStatus FaultInjector::Next(Edge* edge) {
         transient_delivered_ < schedule_.transient_failures) {
       ++transient_delivered_;
       ++delivered_[static_cast<size_t>(FaultKind::kTransient)];
-      return ReadStatus::kTransient;
+      return {ReadStatus::kTransient, {}};
     }
-    ReadStatus status = base_->Next(edge);
-    if (status != ReadStatus::kOk) return status;
+    // A record at a transient position reads cleanly once its failures
+    // are delivered. While the base replays records at one position
+    // (HasPendingReplay), every record there gets that position's
+    // verdict, so those are pulled one at a time.
+    size_t run = 1;
+    if (kind == FaultKind::kNone || kind == FaultKind::kTransient) {
+      if (!base_->HasPendingReplay()) {
+        while (run < max_edges && KindAt(p + run) == FaultKind::kNone) ++run;
+      }
+    }
+    const EdgeBatch batch = base_->NextBatch(run);
+    if (batch.status != ReadStatus::kOk) return batch;
     transient_delivered_ = 0;
     switch (kind) {
       case FaultKind::kDrop:
         ++delivered_[static_cast<size_t>(FaultKind::kDrop)];
         continue;  // the record is lost; move on to the next one
       case FaultKind::kDuplicate:
-        pending_duplicate_ = *edge;
+        duplicate_ = batch.edges[0];
+        duplicate_pending_ = true;
         pending_position_ = p;
         ++delivered_[static_cast<size_t>(FaultKind::kDuplicate)];
-        return ReadStatus::kOk;
+        return batch;
       case FaultKind::kCorrupt: {
         // Garble both ids out of range — detectably damaged, the way a
         // checksum-failing record surfaces after decoding.
         uint64_t h = Mix64(schedule_.seed ^ uint64_t{p} ^
                            0xC2B2AE3D27D4EB4FULL);
-        edge->set = Meta().num_sets + static_cast<uint32_t>(h % 1009);
-        edge->element =
+        corrupt_.set = Meta().num_sets + static_cast<uint32_t>(h % 1009);
+        corrupt_.element =
             Meta().num_elements + static_cast<uint32_t>((h >> 32) % 1013);
         ++delivered_[static_cast<size_t>(FaultKind::kCorrupt)];
-        return ReadStatus::kCorrupt;
+        return {ReadStatus::kCorrupt, {&corrupt_, 1}};
       }
       default:
-        return ReadStatus::kOk;
+        return batch;
     }
   }
 }

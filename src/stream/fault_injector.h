@@ -2,7 +2,6 @@
 #define SETCOVER_STREAM_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "stream/edge_source.h"
 
@@ -13,7 +12,7 @@ namespace setcover {
 /// at-least-once delivery.
 enum class FaultKind : uint8_t {
   kNone = 0,
-  kTransient,  // Next() fails kTransient a few times, then succeeds
+  kTransient,  // the pull fails kTransient a few times, then succeeds
   kDuplicate,  // the record is delivered twice
   kDrop,       // the record is silently lost
   kCorrupt,    // the record arrives garbled (out-of-range ids)
@@ -49,17 +48,20 @@ struct FaultSchedule {
 /// Determinism contract: the fault decision for the record at
 /// underlying position p depends only on (schedule.seed, p). SeekTo()
 /// therefore restores not just the data but the exact fault replay.
+///
+/// As a span transform: the decisions are known ahead of the data, so
+/// a pull takes the run of fault-free positions in front of the cursor
+/// straight from the base source, in place, and stops before the next
+/// faulty one; each faulty record is its own one-record pull.
 class FaultInjector : public EdgeSource {
  public:
   FaultInjector(EdgeSource* base, FaultSchedule schedule);
 
   const StreamMetadata& Meta() const override { return base_->Meta(); }
-  ReadStatus Next(Edge* edge) override;
+  EdgeBatch NextBatch(size_t max_edges) override;
   size_t Position() const override;
   bool SeekTo(size_t position) override;
-  bool HasPendingReplay() const override {
-    return pending_duplicate_.has_value();
-  }
+  bool HasPendingReplay() const override { return duplicate_pending_; }
   bool Truncated() const override { return base_->Truncated(); }
 
   /// What the schedule decrees for the record at position `p`.
@@ -76,9 +78,13 @@ class FaultInjector : public EdgeSource {
   EdgeSource* base_;
   FaultSchedule schedule_;
   double scale_ = 1.0;
-  // Second copy of a duplicated record, owed to the consumer.
-  std::optional<Edge> pending_duplicate_;
+  // Second copy of a duplicated record, owed to the consumer, and the
+  // position it was read at.
+  Edge duplicate_{0, 0};
+  bool duplicate_pending_ = false;
   size_t pending_position_ = 0;
+  // The garbled copy of the last corrupt record.
+  Edge corrupt_{0, 0};
   // Transient failures already delivered for the position currently
   // being read (reset whenever the position advances).
   uint32_t transient_delivered_ = 0;

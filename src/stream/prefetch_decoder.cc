@@ -98,17 +98,6 @@ bool PrefetchDecoder::FillBuffer() {
   return current_pos_ < current_.size();
 }
 
-bool PrefetchDecoder::Next(Edge* edge) {
-  if (checksum_failed_ || edges_read_ >= Meta().stream_length) return false;
-  if (!current_valid_ || current_pos_ >= current_.size()) {
-    if (truncated_) return false;
-    if (!FillBuffer()) return false;
-  }
-  *edge = current_[current_pos_++];
-  ++edges_read_;
-  return true;
-}
-
 std::span<const Edge> PrefetchDecoder::NextBatch() {
   if (checksum_failed_ || edges_read_ >= Meta().stream_length) return {};
   if (!current_valid_ || current_pos_ >= current_.size()) {
@@ -147,8 +136,5 @@ std::unique_ptr<BatchEdgeReader> OpenBatchEdgeReader(
   if (!options.prefetch) return reader;
   return PrefetchDecoder::Create(std::move(reader));
 }
-
-// RunStreamFromFile is implemented in engine/engine.cc as a thin client
-// of the engine's file fast path (the old loop here, verbatim).
 
 }  // namespace setcover

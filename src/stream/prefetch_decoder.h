@@ -38,7 +38,6 @@ class PrefetchDecoder : public BatchEdgeReader {
 
   const StreamMetadata& Meta() const override { return reader_->Meta(); }
   uint32_t Version() const override { return reader_->Version(); }
-  bool Next(Edge* edge) override;
   std::span<const Edge> NextBatch() override;
   bool SeekToEdge(size_t index) override;
   bool Truncated() const override { return truncated_; }

@@ -1,5 +1,7 @@
 #include "stream/schedule.h"
 
+#include <algorithm>
+
 namespace setcover {
 
 bool ScheduleSpec::Validate(std::string* error) const {
@@ -23,40 +25,46 @@ bool ScheduleSpec::Validate(std::string* error) const {
 ScheduledSource::ScheduledSource(EdgeSource* inner, const ScheduleSpec& spec)
     : inner_(inner), spec_(spec), inner_length_(inner->Meta().stream_length) {}
 
-ReadStatus ScheduledSource::Next(Edge* edge) {
+EdgeBatch ScheduledSource::NextBatch(size_t max_edges) {
   // Owed window replay is served before any fresh record.
   if (replay_pos_ < replay_.size()) {
-    *edge = replay_[replay_pos_++];
-    if (replay_pos_ == replay_.size()) {
-      replay_.clear();
-      replay_pos_ = 0;
-    }
-    return ReadStatus::kOk;
+    const size_t take = std::min(max_edges, replay_.size() - replay_pos_);
+    const std::span<const Edge> batch(replay_.data() + replay_pos_, take);
+    replay_pos_ += take;
+    return {ReadStatus::kOk, batch};
   }
   for (;;) {
-    const ReadStatus status = inner_->Next(edge);
-    if (status == ReadStatus::kEnd) {
+    // A window pull ends at the record that triggers the next replay.
+    const size_t want =
+        spec_.window > 0
+            ? std::min<size_t>(max_edges, spec_.replay_every - fresh_)
+            : max_edges;
+    const EdgeBatch batch = inner_->NextBatch(want);
+    if (batch.status == ReadStatus::kEnd) {
       // A truncated/damaged pass ends the whole schedule: replaying a
       // stream that did not deliver its N records would feed the
       // algorithm a different sequence per pass.
-      if (inner_->Truncated()) return status;
-      if (pass_ + 1 >= spec_.passes) return status;
-      if (!inner_->SeekTo(0)) return status;
+      if (inner_->Truncated()) return batch;
+      if (pass_ + 1 >= spec_.passes) return batch;
+      if (!inner_->SeekTo(0)) return batch;
       ++pass_;
       window_.clear();
       fresh_ = 0;
       continue;
     }
-    if (status == ReadStatus::kOk && spec_.window > 0) {
-      window_.push_back(*edge);
-      if (window_.size() > spec_.window) window_.pop_front();
-      if (++fresh_ >= spec_.replay_every) {
+    if (batch.status == ReadStatus::kOk && spec_.window > 0) {
+      for (const Edge& edge : batch.edges) {
+        window_.push_back(edge);
+        if (window_.size() > spec_.window) window_.pop_front();
+      }
+      fresh_ += uint32_t(batch.edges.size());
+      if (fresh_ >= spec_.replay_every) {
         fresh_ = 0;
         replay_.assign(window_.begin(), window_.end());
         replay_pos_ = 0;
       }
     }
-    return status;
+    return batch;
   }
 }
 

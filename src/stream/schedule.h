@@ -44,13 +44,16 @@ struct ScheduleSpec {
 };
 
 /// EdgeSource combinator applying a ScheduleSpec to an inner source.
-/// Non-owning: the inner source must outlive the schedule.
+/// Non-owning: the inner source must outlive the schedule. Fresh
+/// records pass through in the inner source's spans; a window pull
+/// stops at the record that triggers a replay, and the replay is served
+/// out of the schedule's own copy of the window.
 class ScheduledSource : public EdgeSource {
  public:
   ScheduledSource(EdgeSource* inner, const ScheduleSpec& spec);
 
   const StreamMetadata& Meta() const override { return inner_->Meta(); }
-  ReadStatus Next(Edge* edge) override;
+  EdgeBatch NextBatch(size_t max_edges) override;
 
   /// Scheduled coordinate: pass * N + inner position for pass
   /// schedules; replayed window records do not advance it.
@@ -59,16 +62,14 @@ class ScheduledSource : public EdgeSource {
   bool HasPendingReplay() const override;
   bool Truncated() const override { return inner_->Truncated(); }
 
-  /// Pass currently being delivered (0-based).
-  uint32_t CurrentPass() const { return pass_; }
-
  private:
   EdgeSource* inner_;
   ScheduleSpec spec_;
   size_t inner_length_;
   uint32_t pass_ = 0;
 
-  // Sliding-window replay state.
+  // Sliding-window replay state; the replay is owed while
+  // replay_pos_ < replay_.size().
   std::deque<Edge> window_;
   std::vector<Edge> replay_;
   size_t replay_pos_ = 0;

@@ -523,17 +523,6 @@ bool StreamFileReader::FillBuffer() {
   return current_pos_ < current_.edges.size();
 }
 
-bool StreamFileReader::Next(Edge* edge) {
-  if (checksum_failed_ || edges_read_ >= meta_.stream_length) return false;
-  if (!current_valid_ || current_pos_ >= current_.edges.size()) {
-    if (truncated_) return false;  // already hit the end of the file
-    if (!FillBuffer()) return false;
-  }
-  *edge = current_.edges[current_pos_++];
-  ++edges_read_;
-  return true;
-}
-
 std::span<const Edge> StreamFileReader::NextBatch() {
   if (checksum_failed_ || edges_read_ >= meta_.stream_length) return {};
   if (!current_valid_ || current_pos_ >= current_.edges.size()) {

@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -102,15 +101,15 @@ struct StreamReadOptions {
 
   /// Decode and CRC-check chunks on a background pipeline thread, one
   /// pipeline unit ahead of the consumer (stream/prefetch_decoder.h).
-  /// Honoured by OpenBatchEdgeReader / StreamFileSource /
-  /// RunStreamFromFile; a bare StreamFileReader is always synchronous.
+  /// Honoured by OpenBatchEdgeReader / StreamFileSource (so by
+  /// engine::Execute); a bare StreamFileReader is always synchronous.
   bool prefetch = true;
 };
 
 /// What every positioned reader of decoded stream-file edges looks
 /// like — implemented synchronously by StreamFileReader and
-/// asynchronously by PrefetchDecoder, so drivers (RunStreamFromFile,
-/// StreamFileSource) are agnostic to where decoding runs.
+/// asynchronously by PrefetchDecoder, so its consumers (StreamFileSource
+/// and with it engine::Execute) are agnostic to where decoding runs.
 class BatchEdgeReader {
  public:
   virtual ~BatchEdgeReader() = default;
@@ -120,10 +119,6 @@ class BatchEdgeReader {
   /// Format version of the open file (1, 2 or 3).
   virtual uint32_t Version() const = 0;
 
-  /// Reads the next edge into *edge; returns false at end of stream,
-  /// after truncation, or after a checksum failure.
-  virtual bool Next(Edge* edge) = 0;
-
   /// Returns the remainder of the current CRC-verified chunk (decoding
   /// the next chunk when the buffer is drained) and advances the
   /// cursor past it — at most kIngestBatchEdges edges, exactly a chunk
@@ -132,7 +127,7 @@ class BatchEdgeReader {
   /// reader-owned storage and is invalidated by the next read or seek.
   virtual std::span<const Edge> NextBatch() = 0;
 
-  /// Repositions the cursor so the next Next() yields edge `index`
+  /// Repositions the cursor so the next batch starts at edge `index`
   /// (0-based; `index` may equal N to position at end). Returns false
   /// on an out-of-range index. The containing chunk is decoded and
   /// CRC-verified on the following read; damage there surfaces as an
@@ -173,7 +168,6 @@ class StreamFileReader : public BatchEdgeReader {
 
   const StreamMetadata& Meta() const override { return meta_; }
   uint32_t Version() const override { return version_; }
-  bool Next(Edge* edge) override;
   std::span<const Edge> NextBatch() override;
   bool SeekToEdge(size_t index) override;
   bool Truncated() const override { return truncated_; }
@@ -245,16 +239,6 @@ class StreamFileReader : public BatchEdgeReader {
 /// stream/prefetch_decoder.cc.
 std::unique_ptr<BatchEdgeReader> OpenBatchEdgeReader(
     const std::string& path, const StreamReadOptions& options,
-    std::string* error);
-
-/// Streams a whole file through `algorithm` (Begin → batches →
-/// Finalize), decoding per `options`. Returns std::nullopt (with
-/// *error) if the file cannot be opened.
-std::optional<CoverSolution> RunStreamFromFile(
-    StreamingSetCoverAlgorithm& algorithm, const std::string& path,
-    const StreamReadOptions& options, std::string* error);
-std::optional<CoverSolution> RunStreamFromFile(
-    StreamingSetCoverAlgorithm& algorithm, const std::string& path,
     std::string* error);
 
 }  // namespace setcover

@@ -115,11 +115,11 @@ TEST_P(BatchEquivalence, SupervisedFaultyDeliveryMatchesPerEdge) {
     VectorEdgeSource base(stream);
     FaultInjector source(&base, schedule);
     reference_algorithm->Begin(source.Meta());
-    Edge edge;
     for (;;) {
-      const ReadStatus status = source.Next(&edge);
-      if (status == ReadStatus::kEnd) break;
-      if (status == ReadStatus::kOk) reference_algorithm->ProcessEdge(edge);
+      const EdgeBatch batch = source.NextBatch(1);
+      if (batch.status == ReadStatus::kEnd) break;
+      if (batch.status == ReadStatus::kOk)
+        reference_algorithm->ProcessEdge(batch.edges[0]);
       // kTransient: retry; kCorrupt: skip — as the supervisor does.
     }
   }

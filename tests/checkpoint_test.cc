@@ -56,9 +56,10 @@ TEST(CheckpointTest, RoundTripsEveryField) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, LoadsVersion1FilesWithZeroSessionSequence) {
+TEST(CheckpointTest, RefusesVersion1Files) {
   // Hand-assemble a v1 file (the pre-session layout, no
-  // session_sequence field) and check it still loads.
+  // session_sequence field), CRC intact, and check it is refused with
+  // an error that names the version.
   auto put32 = [](std::vector<uint8_t>* out, uint32_t v) {
     for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
   };
@@ -91,12 +92,8 @@ TEST(CheckpointTest, LoadsVersion1FilesWithZeroSessionSequence) {
   std::fclose(out);
 
   std::string error;
-  auto loaded = LoadCheckpoint(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->algorithm_name, "kk");
-  EXPECT_EQ(loaded->meta.num_sets, 10u);
-  EXPECT_EQ(loaded->session_sequence, 0u);
-  EXPECT_EQ(loaded->state_words, (std::vector<uint64_t>{77, 88}));
+  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

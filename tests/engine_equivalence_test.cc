@@ -9,12 +9,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/kk_algorithm.h"
 #include "core/registry.h"
 #include "engine/engine.h"
 #include "instance/generators.h"
@@ -349,6 +351,63 @@ TEST(EngineTest, MultiChunkFileKillAndResume) {
   EXPECT_EQ(resumed.current_words, expected.current_words);
 
   std::remove(file_path.c_str());
+  std::remove(ckpt_path.c_str());
+}
+
+// KK that records every batch span the engine hands it.
+class RecordingKk : public KkAlgorithm {
+ public:
+  using KkAlgorithm::KkAlgorithm;
+  void ProcessEdgeBatch(std::span<const Edge> edges) override {
+    batches.push_back(edges);
+    KkAlgorithm::ProcessEdgeBatch(edges);
+  }
+  std::vector<std::span<const Edge>> batches;
+};
+
+// At W = 1 an in-memory run feeds the pump the stream's own memory:
+// every batch but a short tail aliases stream.edges at its offset, with
+// or without checkpoint cuts inside the batches.
+TEST(EngineTest, InMemoryBatchesAliasTheStream) {
+  Rng rng(9);
+  UniformRandomParams p;
+  p.num_elements = 200;
+  p.num_sets = 3000;
+  SetCoverInstance instance = GenerateUniformRandom(p, rng);
+  EdgeStream stream = RandomOrderStream(instance, rng);
+  ASSERT_GT(stream.size(), 3 * kIngestBatchEdges);
+
+  const std::string ckpt_path = TempPath("alias.sckp");
+  for (const uint64_t every : {uint64_t{0}, uint64_t{5000}}) {
+    RecordingKk algorithm(5);
+    engine::RunConfig config;
+    config.algorithm_instance = &algorithm;
+    config.source = engine::SourceSpec::InMemory(stream);
+    if (every > 0) {
+      config.checkpoint.path = ckpt_path;
+      config.checkpoint.every = every;
+    }
+    const engine::RunReport report = engine::Execute(config);
+    ASSERT_TRUE(report.completed) << report.error;
+    if (every > 0) {
+      EXPECT_EQ(report.checkpoints_written, stream.size() / every);
+    }
+
+    size_t offset = 0;
+    size_t full = 0;
+    for (size_t i = 0; i < algorithm.batches.size(); ++i) {
+      const std::span<const Edge> batch = algorithm.batches[i];
+      if (batch.size() == kIngestBatchEdges) ++full;
+      if (i + 1 < algorithm.batches.size() ||
+          batch.size() == kIngestBatchEdges) {
+        EXPECT_EQ(batch.data(), stream.edges.data() + offset)
+            << "every=" << every << " batch " << i << " was copied";
+      }
+      offset += batch.size();
+    }
+    EXPECT_EQ(offset, stream.size());
+    EXPECT_GT(full, 0u) << "every=" << every;
+  }
   std::remove(ckpt_path.c_str());
 }
 

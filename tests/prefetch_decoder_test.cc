@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "core/kk_algorithm.h"
+#include "engine/engine.h"
 #include "instance/generators.h"
 #include "stream/orderings.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -64,14 +66,12 @@ TEST_P(PrefetchFormats, EdgeSequenceMatchesSyncReader) {
       StreamFileReader::Open(path, &error));
   ASSERT_NE(prefetch, nullptr) << error;
 
-  Edge expected, actual;
-  size_t i = 0;
-  while (sync_reader->Next(&expected)) {
-    ASSERT_TRUE(prefetch->Next(&actual)) << "edge " << i;
-    ASSERT_EQ(actual, expected) << "edge " << i;
-    ++i;
-  }
-  EXPECT_FALSE(prefetch->Next(&actual));
+  const std::vector<Edge> expected = ReadBatches(*sync_reader);
+  const std::vector<Edge> actual = ReadBatches(*prefetch);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(actual[i], expected[i]) << "edge " << i;
+  EXPECT_TRUE(prefetch->NextBatch().empty());
   EXPECT_EQ(prefetch->EdgesRead(), stream.size());
   EXPECT_FALSE(prefetch->Truncated());
   EXPECT_FALSE(prefetch->ChecksumFailed());
@@ -112,35 +112,39 @@ TEST_P(PrefetchFormats, InterleavedSeeksMatchSyncReader) {
   for (int round = 0; round < 20; ++round) {
     size_t index = size_t(rng.UniformInt(stream.size()));
     ASSERT_TRUE(prefetch->SeekToEdge(index));
-    Edge edge;
+    const std::vector<Edge> run = ReadBatches(*prefetch, 300);
     for (size_t k = 0; k < 300 && index + k < stream.size(); ++k) {
-      ASSERT_TRUE(prefetch->Next(&edge)) << "round " << round;
-      ASSERT_EQ(edge, stream.edges[index + k]) << "round " << round;
+      ASSERT_LT(k, run.size()) << "round " << round;
+      ASSERT_EQ(run[k], stream.edges[index + k]) << "round " << round;
     }
   }
 }
 
-TEST_P(PrefetchFormats, RunStreamFromFileIsBitIdenticalEitherWay) {
+TEST_P(PrefetchFormats, FileExecuteIsBitIdenticalEitherWay) {
   const EdgeStream& stream = PipelineStream();
   std::string path = WriteFormat(stream, "pf_run_v" + std::to_string(uint32_t(GetParam())) + ".bin", GetParam());
 
-  std::string error;
   StreamReadOptions sync_options;
   sync_options.prefetch = false;
   KkAlgorithm sync_algorithm(5);
-  auto sync_solution =
-      RunStreamFromFile(sync_algorithm, path, sync_options, &error);
-  ASSERT_TRUE(sync_solution.has_value()) << error;
+  engine::RunConfig sync_config;
+  sync_config.algorithm_instance = &sync_algorithm;
+  sync_config.source = engine::SourceSpec::File(path, sync_options);
+  const engine::RunReport sync_report = engine::Execute(sync_config);
+  ASSERT_TRUE(sync_report.completed) << sync_report.error;
 
   StreamReadOptions prefetch_options;
   prefetch_options.prefetch = true;
   KkAlgorithm prefetch_algorithm(5);
-  auto prefetch_solution =
-      RunStreamFromFile(prefetch_algorithm, path, prefetch_options, &error);
-  ASSERT_TRUE(prefetch_solution.has_value()) << error;
+  engine::RunConfig prefetch_config;
+  prefetch_config.algorithm_instance = &prefetch_algorithm;
+  prefetch_config.source = engine::SourceSpec::File(path, prefetch_options);
+  const engine::RunReport prefetch_report = engine::Execute(prefetch_config);
+  ASSERT_TRUE(prefetch_report.completed) << prefetch_report.error;
 
-  EXPECT_EQ(prefetch_solution->cover, sync_solution->cover);
-  EXPECT_EQ(prefetch_solution->certificate, sync_solution->certificate);
+  EXPECT_EQ(prefetch_report.solution.cover, sync_report.solution.cover);
+  EXPECT_EQ(prefetch_report.solution.certificate,
+            sync_report.solution.certificate);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, PrefetchFormats,
@@ -168,9 +172,8 @@ TEST(PrefetchDecoderTest, CorruptChunkEndsTheStreamWithFlags) {
   auto prefetch = PrefetchDecoder::Create(
       StreamFileReader::Open(path, &error));
   ASSERT_NE(prefetch, nullptr) << error;
-  Edge edge;
   size_t surfaced = 0;
-  while (prefetch->Next(&edge)) {
+  for (const Edge& edge : ReadBatches(*prefetch)) {
     ASSERT_EQ(edge, stream.edges[surfaced]);
     ++surfaced;
   }
@@ -179,8 +182,9 @@ TEST(PrefetchDecoderTest, CorruptChunkEndsTheStreamWithFlags) {
 
   // A seek back into the intact prefix recovers it.
   ASSERT_TRUE(prefetch->SeekToEdge(0));
-  ASSERT_TRUE(prefetch->Next(&edge));
-  EXPECT_EQ(edge, stream.edges[0]);
+  const std::span<const Edge> batch = prefetch->NextBatch();
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(batch[0], stream.edges[0]);
 }
 
 TEST(PrefetchDecoderTest, DestructionMidStreamJoinsCleanly) {
@@ -193,9 +197,7 @@ TEST(PrefetchDecoderTest, DestructionMidStreamJoinsCleanly) {
     auto prefetch = PrefetchDecoder::Create(
         StreamFileReader::Open(path, &error));
     ASSERT_NE(prefetch, nullptr) << error;
-    Edge edge;
-    for (size_t i = 0; i < reads && prefetch->Next(&edge); ++i) {
-    }
+    ReadBatches(*prefetch, reads);
   }
 }
 
@@ -211,9 +213,9 @@ TEST(PrefetchDecoderTest, RepeatedSeekStressRestartsThePipeline) {
   for (int round = 0; round < 100; ++round) {
     size_t index = (size_t(round) * 1237) % stream.size();
     ASSERT_TRUE(prefetch->SeekToEdge(index));
-    Edge edge;
-    ASSERT_TRUE(prefetch->Next(&edge));
-    ASSERT_EQ(edge, stream.edges[index]);
+    const std::span<const Edge> batch = prefetch->NextBatch();
+    ASSERT_FALSE(batch.empty());
+    ASSERT_EQ(batch[0], stream.edges[index]);
   }
 }
 

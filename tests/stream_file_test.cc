@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "core/kk_algorithm.h"
+#include "engine/engine.h"
+#include "stream/edge_source.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "stream/orderings.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -40,9 +43,8 @@ TEST(StreamFileTest, RoundTrip) {
   EXPECT_EQ(reader->Meta().num_elements, stream.meta.num_elements);
   EXPECT_EQ(reader->Meta().stream_length, stream.meta.stream_length);
 
-  Edge edge;
   size_t i = 0;
-  while (reader->Next(&edge)) {
+  for (const Edge& edge : ReadBatches(*reader)) {
     ASSERT_LT(i, stream.edges.size());
     EXPECT_EQ(edge, stream.edges[i]);
     ++i;
@@ -59,8 +61,7 @@ TEST(StreamFileTest, EmptyStream) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge));
+  EXPECT_TRUE(reader->NextBatch().empty());
 }
 
 TEST(StreamFileTest, RejectsMissingFile) {
@@ -96,9 +97,7 @@ TEST(StreamFileTest, DetectsTruncation) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t count = 0;
-  while (reader->Next(&edge)) ++count;
+  const size_t count = ReadBatches(*reader).size();
   EXPECT_LT(count, stream.edges.size());
   EXPECT_TRUE(reader->Truncated());
 }
@@ -115,15 +114,17 @@ TEST(StreamFileTest, RunAlgorithmFromFile) {
   ASSERT_TRUE(WriteStreamFile(stream, path));
 
   KkAlgorithm algorithm(7);
-  std::string error;
-  auto solution = RunStreamFromFile(algorithm, path, &error);
-  ASSERT_TRUE(solution.has_value()) << error;
-  EXPECT_TRUE(ValidateSolution(inst, *solution).ok);
+  engine::RunConfig config;
+  config.algorithm_instance = &algorithm;
+  config.source = engine::SourceSpec::File(path);
+  engine::RunReport report = engine::Execute(config);
+  ASSERT_TRUE(report.completed) << report.error;
+  EXPECT_TRUE(ValidateSolution(inst, report.solution).ok);
 
   // Must match an in-memory run bit-for-bit (same seed, same order).
   KkAlgorithm reference(7);
   auto expected = RunStream(reference, stream);
-  EXPECT_EQ(solution->cover, expected.cover);
+  EXPECT_EQ(report.solution.cover, expected.cover);
 }
 
 TEST(StreamFileTest, LargeStreamBuffersCorrectly) {
@@ -143,9 +144,7 @@ TEST(StreamFileTest, LargeStreamBuffersCorrectly) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t count = 0;
-  while (reader->Next(&edge)) ++count;
+  const size_t count = ReadBatches(*reader).size();
   EXPECT_EQ(count, stream.size());
 }
 
@@ -175,9 +174,9 @@ TEST(StreamFileTest, RewriteReplacesAtomically) {
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->Meta().stream_length, second.meta.stream_length);
-  Edge edge;
   size_t i = 0;
-  while (reader->Next(&edge)) EXPECT_EQ(edge, second.edges[i++]);
+  for (const Edge& edge : ReadBatches(*reader))
+    EXPECT_EQ(edge, second.edges[i++]);
   EXPECT_EQ(i, second.size());
 }
 
@@ -199,9 +198,7 @@ TEST(StreamFileTest, DetectsFlippedPayloadBitViaChunkChecksum) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (reader->Next(&edge)) ++surfaced;
+  const size_t surfaced = ReadBatches(*reader).size();
   EXPECT_TRUE(reader->ChecksumFailed());
   EXPECT_EQ(surfaced, 0u) << "edges from a corrupt chunk were surfaced";
 }
@@ -224,9 +221,7 @@ TEST(StreamFileTest, DetectsCorruptedChunkCountViaDeclaredLength) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (reader->Next(&edge)) ++surfaced;
+  const size_t surfaced = ReadBatches(*reader).size();
   EXPECT_TRUE(reader->ChecksumFailed());
   EXPECT_EQ(surfaced, 0u);
 }
@@ -271,16 +266,76 @@ TEST(StreamFileTest, SeekToEdgeLandsExactly) {
                        size_t{4097}, size_t{9000}, stream.size() - 1}) {
     ASSERT_TRUE(reader->SeekToEdge(index)) << index;
     EXPECT_EQ(reader->EdgesRead(), index);
-    Edge edge;
-    ASSERT_TRUE(reader->Next(&edge)) << index;
-    EXPECT_EQ(edge, stream.edges[index]) << index;
+    const std::span<const Edge> batch = reader->NextBatch();
+    ASSERT_FALSE(batch.empty()) << index;
+    EXPECT_EQ(batch[0], stream.edges[index]) << index;
   }
 
   // Seeking to N positions at end-of-stream; past N is refused.
   ASSERT_TRUE(reader->SeekToEdge(stream.size()));
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge));
+  EXPECT_TRUE(reader->NextBatch().empty());
   EXPECT_FALSE(reader->SeekToEdge(stream.size() + 1));
+}
+
+// StreamFileSource hands out the reader's chunk spans cut at whatever
+// the caller asks for: a pull that ends inside a chunk reports
+// Position() at the cut, and the next pull continues from it — also
+// after a SeekTo into the middle of a chunk — with and without the
+// prefetch decoder.
+TEST(StreamFileTest, SourcePullsCutInsideChunks) {
+  Rng rng(12);
+  UniformRandomParams params;
+  params.num_elements = 300;
+  params.num_sets = 4000;
+  params.min_set_size = 2;
+  params.max_set_size = 5;
+  auto inst = GenerateUniformRandom(params, rng);
+  auto stream = RandomOrderStream(inst, rng);
+  ASSERT_GT(stream.size(), size_t{3} * 4096);
+  std::string path = TempPath("source_cuts.bin");
+  std::string error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
+
+  for (const bool prefetch : {false, true}) {
+    StreamReadOptions options;
+    options.prefetch = prefetch;
+    auto source = StreamFileSource::Open(path, options, &error);
+    ASSERT_NE(source, nullptr) << error;
+    auto expect_pull = [&](size_t max_edges, size_t from, size_t count) {
+      const EdgeBatch batch = source->NextBatch(max_edges);
+      ASSERT_EQ(batch.status, ReadStatus::kOk) << from;
+      ASSERT_EQ(batch.edges.size(), count) << from;
+      for (size_t i = 0; i < count; ++i)
+        ASSERT_EQ(batch.edges[i], stream.edges[from + i]) << from + i;
+      EXPECT_EQ(source->Position(), from + count);
+    };
+    expect_pull(1000, 0, 1000);        // cut inside chunk 0
+    expect_pull(10000, 1000, 3096);    // the rest of chunk 0, no further
+    expect_pull(7, 4096, 7);           // cut inside chunk 1
+    expect_pull(1, 4103, 1);
+
+    ASSERT_TRUE(source->SeekTo(5000));  // into the middle of chunk 1
+    EXPECT_EQ(source->Position(), 5000u);
+    expect_pull(10, 5000, 10);
+    expect_pull(4096, 5010, 8192 - 5010);
+    ASSERT_TRUE(source->SeekTo(100));
+    expect_pull(50, 100, 50);
+
+    // Draining at an odd cut yields the whole rest of the stream.
+    size_t position = 150;
+    for (;;) {
+      const EdgeBatch batch = source->NextBatch(777);
+      if (batch.status == ReadStatus::kEnd) break;
+      ASSERT_EQ(batch.status, ReadStatus::kOk);
+      for (const Edge& edge : batch.edges)
+        ASSERT_EQ(edge, stream.edges[position++]);
+      EXPECT_EQ(source->Position(), position);
+    }
+    EXPECT_EQ(position, stream.size());
+    EXPECT_FALSE(source->Truncated());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "instance/generators.h"
 #include "stream/orderings.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -101,9 +102,8 @@ TEST_P(FormatMatrix, RoundTripsEveryOrdering) {
     EXPECT_EQ(reader->Version(), uint32_t(config.format));
     EXPECT_EQ(reader->Meta().stream_length, stream.meta.stream_length);
 
-    Edge edge;
     size_t i = 0;
-    while (reader->Next(&edge)) {
+    for (const Edge& edge : ReadBatches(*reader)) {
       ASSERT_LT(i, stream.edges.size());
       ASSERT_EQ(edge, stream.edges[i]) << "edge " << i;
       ++i;
@@ -152,13 +152,12 @@ TEST_P(FormatMatrix, SeeksLandExactly) {
                        stream.size() - 1, size_t{1}}) {
     ASSERT_TRUE(reader->SeekToEdge(index)) << index;
     EXPECT_EQ(reader->EdgesRead(), index);
-    Edge edge;
-    ASSERT_TRUE(reader->Next(&edge)) << index;
-    EXPECT_EQ(edge, stream.edges[index]) << index;
+    const std::span<const Edge> batch = reader->NextBatch();
+    ASSERT_FALSE(batch.empty()) << index;
+    EXPECT_EQ(batch[0], stream.edges[index]) << index;
   }
   ASSERT_TRUE(reader->SeekToEdge(stream.size()));
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge));
+  EXPECT_TRUE(reader->NextBatch().empty());
   EXPECT_FALSE(reader->SeekToEdge(stream.size() + 1));
 }
 
@@ -181,9 +180,8 @@ TEST_P(FormatMatrix, FlippedBitSurfacesAsChecksumFailure) {
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
   size_t surfaced = 0;
-  while (reader->Next(&edge)) {
+  for (const Edge& edge : ReadBatches(*reader)) {
     ASSERT_EQ(edge, stream.edges[surfaced]) << "corrupt edge surfaced";
     ++surfaced;
   }
@@ -208,9 +206,8 @@ TEST_P(FormatMatrix, TruncationReplaysOnlyThePrefix) {
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
   size_t surfaced = 0;
-  while (reader->Next(&edge)) {
+  for (const Edge& edge : ReadBatches(*reader)) {
     ASSERT_EQ(edge, stream.edges[surfaced]) << "wrong edge after truncation";
     ++surfaced;
   }
@@ -237,8 +234,7 @@ TEST_P(FormatMatrix, SeekPastTruncationReportsFlagsNotGarbage) {
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
   ASSERT_TRUE(reader->SeekToEdge(stream.size() - 1));
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge))
+  EXPECT_TRUE(reader->NextBatch().empty())
       << "read an edge from a region the file no longer contains";
   EXPECT_TRUE(reader->Truncated() || reader->ChecksumFailed());
 }
@@ -342,17 +338,18 @@ TEST(StreamFormatTest, V3CorruptFooterFallsBackToHeaderScan) {
 
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
   size_t i = 0;
-  while (reader->Next(&edge)) EXPECT_EQ(edge, stream.edges[i++]);
+  for (const Edge& edge : ReadBatches(*reader))
+    EXPECT_EQ(edge, stream.edges[i++]);
   EXPECT_EQ(i, stream.size());
   EXPECT_FALSE(reader->Truncated());
   EXPECT_FALSE(reader->ChecksumFailed());
 
   // Seeks still work off the scanned offsets.
   ASSERT_TRUE(reader->SeekToEdge(4097));
-  ASSERT_TRUE(reader->Next(&edge));
-  EXPECT_EQ(edge, stream.edges[4097]);
+  const std::span<const Edge> batch = reader->NextBatch();
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(batch[0], stream.edges[4097]);
 }
 
 TEST(StreamFormatTest, V3LosingOnlyTheIndexLosesNoEdges) {
@@ -365,9 +362,9 @@ TEST(StreamFormatTest, V3LosingOnlyTheIndexLosesNoEdges) {
 
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
   size_t i = 0;
-  while (reader->Next(&edge)) EXPECT_EQ(edge, stream.edges[i++]);
+  for (const Edge& edge : ReadBatches(*reader))
+    EXPECT_EQ(edge, stream.edges[i++]);
   EXPECT_EQ(i, stream.size());
   EXPECT_FALSE(reader->Truncated());
 }
@@ -384,8 +381,6 @@ TEST(StreamFormatTest, V3EmptyStreamRoundTrips) {
     auto reader = OpenBatchEdgeReader(path, options, &error);
     ASSERT_NE(reader, nullptr) << error;
     EXPECT_EQ(reader->Meta().num_sets, 9u);
-    Edge edge;
-    EXPECT_FALSE(reader->Next(&edge));
     EXPECT_TRUE(reader->NextBatch().empty());
   }
 }

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <span>
+#include <vector>
+
 #include "core/streaming_algorithm.h"
 #include "instance/instance.h"
 #include "instance/validator.h"
 #include "stream/orderings.h"
+#include "stream/stream_file.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -24,6 +30,21 @@ inline CoverSolution RunAndValidate(StreamingSetCoverAlgorithm& algorithm,
   EXPECT_TRUE(check.ok) << algorithm.Name() << " on "
                         << StreamOrderName(order) << ": " << check.error;
   return solution;
+}
+
+/// Drains `reader` through NextBatch() from its cursor, whole batches
+/// at a time, until the stream ends or at least `at_least` edges were
+/// read; returns them in order.
+inline std::vector<Edge> ReadBatches(
+    BatchEdgeReader& reader,
+    size_t at_least = std::numeric_limits<size_t>::max()) {
+  std::vector<Edge> edges;
+  while (edges.size() < at_least) {
+    const std::span<const Edge> batch = reader.NextBatch();
+    if (batch.empty()) break;
+    edges.insert(edges.end(), batch.begin(), batch.end());
+  }
+  return edges;
 }
 
 }  // namespace setcover
