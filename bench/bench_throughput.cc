@@ -310,9 +310,9 @@ BENCHMARK(BM_BackendIngest)
 
 // The supervised path's price: the plain in-memory engine::Execute job
 // against the same job with a kill switch past the end of the stream
-// (stop_after = N + 1), which arms the run's stop cut but never fires.
-// Both run engine::Drive's one pull loop, so the kill-switch row should
-// read within noise of the plain one. In-bench check: both rows
+// (stop_after = N + 1), which stacks the kill-switch layer but never
+// fires. Both run engine::Drive's one pull loop, so the kill-switch row
+// should read within noise of the plain one. In-bench check: both rows
 // produce the same cover. Ungated: no baseline has these rows yet.
 void BM_SupervisedIngest(benchmark::State& state) {
   const AlgKind kind = static_cast<AlgKind>(state.range(0));

@@ -2,7 +2,13 @@
 # Full verification: build + test the plain configuration, then again
 # with AddressSanitizer + UBSan (-DSETCOVER_SANITIZE=ON). Any sanitizer
 # finding aborts the offending test (-fno-sanitize-recover=all), so a
-# green run means both configurations are clean.
+# green run means both configurations are clean. Every build here is
+# configured with -Werror (CMAKE_CXX_FLAGS on top of the project's
+# -Wall -Wextra), so a new compiler warning fails the check. The one
+# exception: under ASan, GCC 12 reports std::regex's internals (in the
+# vendored bench/minibench) as maybe-uninitialized, a false positive of
+# the instrumentation, so that one warning stays a warning there; the
+# plain, Release and TSan builds keep it fatal.
 #
 # With --bench-smoke, instead run the perf-path smoke checks:
 #   1. Release build + a short bench_throughput run (catches benchmarks
@@ -47,6 +53,8 @@
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+ASAN_WERROR="-Werror -Wno-error=maybe-uninitialized"
 
 echo "== layering guard: ProcessEdgeBatch callers outside the engine's pump =="
 # Allowlist: the engine's one call site (the pump every drive loop
@@ -164,7 +172,8 @@ JOBS="${1:-$(nproc)}"
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
   echo "== bench smoke: Release build (build-release/) =="
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 
   # Perf numbers from unoptimized builds are noise: refuse to gate on
   # them. The build dir must be Release, and so must the committed
@@ -311,7 +320,8 @@ EOF
   fi
 
   echo "== bench smoke: engine equivalence + stream formats + offline kernels + wire protocol + SIMD kernels + hostile payloads under ASan+UBSan (build-asan/) =="
-  cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON >/dev/null
+  cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON \
+    -DCMAKE_CXX_FLAGS="$ASAN_WERROR" >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target engine_equivalence_test batch_equivalence_test \
              stream_format_test greedy_kernel_test instance_test \
@@ -358,7 +368,7 @@ EOF
   build-asan/tests/hostile_payload_test
 
   echo "== bench smoke: thread pool + multi-run-over-engine + prefetch decoder + session server + transports under TSan (build-tsan/) =="
-  cmake -B build-tsan -S . -DSETCOVER_TSAN=ON >/dev/null
+  cmake -B build-tsan -S . -DSETCOVER_TSAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target thread_pool_test multi_run_test batch_equivalence_test \
              prefetch_decoder_test session_server_test session_soak_test \
@@ -391,12 +401,13 @@ EOF
 fi
 
 echo "== plain build (build/) =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build -j "$JOBS" --output-on-failure
 
 echo "== sanitized build (build-asan/) =="
-cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON >/dev/null
+cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON \
+    -DCMAKE_CXX_FLAGS="$ASAN_WERROR" >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan -j "$JOBS" --output-on-failure
 

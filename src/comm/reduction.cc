@@ -40,7 +40,6 @@ ReductionResult RunTheorem2Reduction(
     const Lemma1Family& family, const DisjointnessInstance& disjointness,
     const AlgorithmFactory& factory, uint64_t seed,
     const std::vector<uint32_t>& fork_indices) {
-  const uint32_t t = family.t();
   const uint32_t m = family.m();
   const uint32_t n = family.n();
   const uint32_t s = family.SetSize();

@@ -25,6 +25,7 @@ void AdversarialLevelAlgorithm::Begin(const StreamMetadata& meta) {
       std::max(1.0, std::sqrt(static_cast<double>(meta.num_elements)));
   // Theorem 4 requires α >= 2√n; clamp requests below that.
   alpha_ = std::max(params_.alpha, 2.0 * sqrt_n);
+  log_keep_ = std::log1p(-1.0 / alpha_);
 
   levels_.Assign(meta.num_sets);
   first_set_.assign(meta.num_elements, kNoSet);
@@ -36,15 +37,24 @@ void AdversarialLevelAlgorithm::Begin(const StreamMetadata& meta) {
   meter_.Reset();
   meter_.Set(element_state_words_, 2 * size_t{meta.num_elements});
 
-  // Line 6: D_0 gets every set with probability p_0 = α/m. Block-drawn
-  // coins + a vectorized threshold scan, same coin sequence as the
-  // scalar loop (util/sampling.h).
+  // Line 6: D_0 gets every set with probability p_0 = α/m, drawn as
+  // geometric gaps between hits: one coin per sampled set, not per set
+  // (util/sampling.h).
   const double p0 = alpha_ / static_cast<double>(meta.num_sets);
   ForEachBernoulliHit(rng_, meta.num_sets, p0, [&](SetId s) {
     in_solution_.Set(s);
     solution_order_.push_back(s);
     meter_.Add(solution_words_, 2);
   });
+  promote_gap_ = DrawPromoteGap();
+}
+
+uint64_t AdversarialLevelAlgorithm::DrawPromoteGap() {
+  // Failures before the first success, plus the success itself. The
+  // compare runs on the double, so an infinite or NaN draw saturates.
+  const double failures = GeometricFailures(rng_, log_keep_);
+  return failures < double(kMaxPromoteGap) ? uint64_t(failures) + 1
+                                           : kMaxPromoteGap;
 }
 
 void AdversarialLevelAlgorithm::MaybeInclude(SetId s, uint32_t level) {
@@ -67,9 +77,10 @@ inline void AdversarialLevelAlgorithm::ProcessEdgeImpl(const Edge& edge) {
   // Lines 11-12: ignore edges to already covered elements.
   if (covered_.Test(u)) return;
 
-  // Lines 14-21: look up the level, promote with probability 1/α, and
-  // on promotion run the inclusion coin for the new level.
-  if (rng_.Bernoulli(1.0 / alpha_)) {
+  // Lines 14-21: look up the level, promote with probability 1/α (the
+  // countdown reaching 0), and on promotion run the inclusion coin for
+  // the new level.
+  if (--promote_gap_ == 0) {
     auto [level, inserted] = levels_.Slot(s);
     ++level;  // first promotion takes the fresh slot from 0 to 1
     if (inserted) {
@@ -77,6 +88,7 @@ inline void AdversarialLevelAlgorithm::ProcessEdgeImpl(const Edge& edge) {
       peak_promoted_ = std::max(peak_promoted_, levels_.Size());
     }
     MaybeInclude(s, level);
+    promote_gap_ = DrawPromoteGap();
   }
 
   // Lines 22-24: if S is (now) in the solution it dominates u.
@@ -143,7 +155,7 @@ CoverSolution AdversarialLevelAlgorithm::Finalize() {
 }
 
 size_t AdversarialLevelAlgorithm::StateWords() const {
-  return 4 + EncodedMapWords(levels_.Size()) +
+  return 5 + EncodedMapWords(levels_.Size()) +
          EncodedBoolVectorWords(covered_.size()) +
          EncodedU32VectorWords(first_set_.size()) +
          EncodedU32VectorWords(certificate_.size()) +
@@ -153,8 +165,10 @@ size_t AdversarialLevelAlgorithm::StateWords() const {
 void AdversarialLevelAlgorithm::EncodeState(StateEncoder* encoder) const {
   // The space story of Theorem 4 made literal: only the *promoted*
   // sets' levels travel (Õ(m·n/α²) of them), plus Õ(n) element state
-  // and the solution.
+  // and the solution. The coins travel too: the RNG and the promotion
+  // countdown, so a resumed or forwarded run flips the same coins.
   for (uint64_t w : rng_.GetState()) encoder->PutWord(w);
+  encoder->PutWord(promote_gap_);
   encoder->PutSortedPairs(levels_.SortedEntries());
   encoder->PutBitset(covered_);  // byte-identical to the PutBoolVector copy
   encoder->PutU32Vector(first_set_);
@@ -168,6 +182,7 @@ bool AdversarialLevelAlgorithm::DecodeState(
   StateDecoder decoder(words);
   std::array<uint64_t, 4> rng_state;
   for (uint64_t& w : rng_state) w = decoder.GetWord();
+  const uint64_t promote_gap = decoder.GetWord();
   auto levels = decoder.GetMap();
   DynamicBitset covered;
   decoder.GetBitset(&covered);
@@ -181,13 +196,15 @@ bool AdversarialLevelAlgorithm::DecodeState(
   for (uint32_t s : solution) ids_ok = ids_ok && s < meta.num_sets;
   for (uint32_t s : first_set)
     ids_ok = ids_ok && (s == kNoSet || s < meta.num_sets);
-  if (!decoder.Done() || !ids_ok || covered.size() != meta.num_elements ||
+  if (!decoder.Done() || !ids_ok || promote_gap == 0 ||
+      covered.size() != meta.num_elements ||
       first_set.size() != meta.num_elements ||
       certificate.size() != meta.num_elements) {
     Begin(meta);
     return false;
   }
   rng_.SetState(rng_state);
+  promote_gap_ = promote_gap;
   levels_.Assign(meta.num_sets);
   for (const auto& [s, level] : levels) levels_.Slot(s).first = level;
   covered_ = std::move(covered);

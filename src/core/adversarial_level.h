@@ -36,6 +36,13 @@ struct AdversarialLevelParams {
 /// front at rate α/m. Uncovered elements are patched with R(u) at the
 /// end.
 ///
+/// The Coin(1/α) flips are drawn as geometric gaps: a countdown holds
+/// the uncovered-edge events left before the next promotion, redrawn
+/// from Geometric(1/α) after each one. Every flip keeps its
+/// distribution (i.i.d. Bernoulli(1/α) per uncovered edge); only the
+/// coin stream differs from one coin per edge, and the hot loop pays a
+/// decrement instead of a coin.
+///
 /// The space win over KK: no per-set degree array — only the levels of
 /// promoted sets are stored, and (Theorem 4's analysis) only Õ(m·n/α²)
 /// sets are ever promoted. The in-memory representation of L is an
@@ -64,6 +71,11 @@ class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
   /// Begin().
   double EffectiveAlpha() const { return alpha_; }
 
+  /// Ceiling of the promotion countdown. A gap this long never runs
+  /// out on a real stream, so it stands for "no promotion" when 1/α is
+  /// too small for a finite draw (a huge user α).
+  static constexpr uint64_t kMaxPromoteGap = uint64_t{1} << 62;
+
   /// Number of sets holding each level at the end of the stream
   /// (entry ℓ counts sets with level exactly ℓ; entry 0 is m minus the
   /// promoted sets). Valid after Finalize().
@@ -79,12 +91,19 @@ class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
  private:
   void MaybeInclude(SetId s, uint32_t level);
   inline void ProcessEdgeImpl(const Edge& edge);
+  /// Uncovered-edge events up to and including the next promotion:
+  /// Geometric(1/α) on {1, 2, ...}, saturated at kMaxPromoteGap.
+  uint64_t DrawPromoteGap();
 
   uint64_t seed_;
   AdversarialLevelParams params_;
   Rng rng_;
   StreamMetadata meta_;
   double alpha_ = 1.0;
+  double log_keep_ = 0.0;  // log1p(-1/α), the promotion gap's scale
+  /// Uncovered-edge events left before the next promotion, >= 1; the
+  /// event that takes it to 0 promotes. Part of the encoded state.
+  uint64_t promote_gap_ = 1;
 
   EpochArray<uint32_t> levels_;   // L: promoted sets only (dense rep)
   std::vector<SetId> first_set_;  // R(u)

@@ -190,8 +190,9 @@ void RandomOrderAlgorithm::Begin(const StreamMetadata& meta) {
                                 : size_t{meta.num_elements});
   meter_.Set(batch_counter_words_, batch_size_);
 
-  // Epoch 0 sampling (line 6): block coins + vectorized threshold scan,
-  // same coin sequence as the scalar loop (util/sampling.h).
+  // Epoch 0 sampling (line 6): each set joins Sol with probability p_0,
+  // drawn as geometric gaps between hits, one coin per sampled set
+  // (util/sampling.h).
   ForEachBernoulliHit(rng_, meta.num_sets, p0_,
                       [&](SetId s) { AddToSolution(s); });
   stats_.epoch0_sampled = solution_order_.size();
@@ -239,7 +240,8 @@ void RandomOrderAlgorithm::StartAlgorithm(uint32_t i) {
   phase_ = Phase::kMain;
   cur_algorithm_ = i;
   cur_epoch_ = 1;
-  // Line 10: fresh tracking sample Q̃ at rate q_0.
+  // Line 10: fresh tracking sample Q̃ at rate q_0, by the same
+  // geometric-gap sampler.
   tracked_.ClearAll();
   cur_tracked_rate_ = TrackingRate(0);
   ForEachBernoulliHit(rng_, meta_.num_sets, cur_tracked_rate_,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <ctime>
 #include <memory>
 #include <optional>
@@ -68,13 +69,51 @@ bool ValidateRunConfig(const RunConfig& config, uint32_t workers,
   return true;
 }
 
-/// The engine's one pull loop, behind Drive(). With `spot_check`, the
-/// run's first batch goes through the pump's debug-build batch/per-edge
-/// spot check, as RunStream's does (Execute sets it for in-memory
-/// sources).
+/// The simulated kill switch, as a layer: hands out the inner source's
+/// records up to stream position `stop` and then reports kEnd with
+/// Fired() set, so the pull loop walks away instead of finalizing.
+/// Execute stacks it right above the schedule, under the fault injector
+/// and the shard filter: a pull that drops or screens out records can
+/// then never carry a run past the kill point, and every shard of a
+/// W-way run dies at the same stream prefix.
+class KillSwitchSource : public EdgeSource {
+ public:
+  KillSwitchSource(EdgeSource* inner, uint64_t stop)
+      : inner_(inner), stop_(stop) {}
+
+  const StreamMetadata& Meta() const override { return inner_->Meta(); }
+  EdgeBatch NextBatch(size_t max_edges) override {
+    const uint64_t position = inner_->Position();
+    if (position >= stop_) {
+      fired_ = true;
+      return {ReadStatus::kEnd, {}};
+    }
+    return inner_->NextBatch(
+        size_t(std::min<uint64_t>(max_edges, stop_ - position)));
+  }
+  size_t Position() const override { return inner_->Position(); }
+  bool SeekTo(size_t position) override { return inner_->SeekTo(position); }
+  bool HasPendingReplay() const override {
+    return inner_->HasPendingReplay();
+  }
+  bool Truncated() const override { return inner_->Truncated(); }
+
+  bool Fired() const { return fired_; }
+
+ private:
+  EdgeSource* inner_;
+  uint64_t stop_;
+  bool fired_ = false;
+};
+
+/// The engine's one pull loop, behind Drive(). `kill_switch`, when not
+/// null, is a layer of `source`'s stack; a kEnd it fired stops the run
+/// unfinished. With `spot_check`, the run's first batch goes through
+/// the pump's debug-build batch/per-edge spot check, as RunStream's
+/// does (Execute sets it for in-memory sources).
 RunReport Pull(const DriveOptions& options,
                StreamingSetCoverAlgorithm& algorithm, EdgeSource& source,
-               bool spot_check) {
+               const KillSwitchSource* kill_switch, bool spot_check) {
   Pump pump(algorithm);
   RunReport& report = pump.report();
   const auto setup_start = Clock::now();
@@ -104,32 +143,29 @@ RunReport Pull(const DriveOptions& options,
       options.checkpoint_every > 0;
   const size_t batch_edges =
       options.batch_edges > 0 ? options.batch_edges : kIngestBatchEdges;
-  uint64_t delivered_this_run = 0;
   ExponentialBackoff retry(options.backoff);
   const auto stream_start = Clock::now();
 
   // Each pull asks for at most the distance to the next cut: the end of
-  // the batch (batch_edges), the next checkpoint position
-  // (edges_delivered % checkpoint_every == 0), or the stop_after kill
-  // point. A span that reaches the cut with nothing pending goes to the
-  // pump in place; a shorter one (a file chunk's end, a fault event,
-  // the end of the stream) waits in `pending` until the cut. Every cut
-  // falls where a per-record loop would put it, so checkpoints, reports
-  // and the algorithm's state are bit-identical at any batch size and
-  // any source batching.
+  // the batch (batch_edges) or the next checkpoint position
+  // (edges_delivered % checkpoint_every == 0). A span that reaches the
+  // cut with nothing pending goes to the pump in place; a shorter one (a
+  // file chunk's end, a fault event, the kill point, the end of the
+  // stream) waits in `pending` until the cut. Every cut falls where a
+  // per-record loop would put it, so checkpoints, reports and the
+  // algorithm's state are bit-identical at any batch size and any
+  // source batching.
   std::vector<Edge> pending;
   auto feed = [&](std::span<const Edge> batch) {
 #ifndef NDEBUG
     if (spot_check && report.stages.batches == 0) {
       pump.FeedSpotChecked(batch);
-      delivered_this_run += batch.size();
       return;
     }
 #else
     (void)spot_check;
 #endif
     pump.Feed(batch);
-    delivered_this_run += batch.size();
   };
   auto flush = [&] {
     if (pending.empty()) return;
@@ -137,24 +173,11 @@ RunReport Pull(const DriveOptions& options,
     pending.clear();
   };
   for (;;) {
-    if (options.stop_after != 0 &&
-        delivered_this_run + pending.size() >= options.stop_after) {
-      // Simulated kill: walk away mid-stream. The last checkpoint on
-      // disk is exactly what a real crash would leave behind.
-      flush();
-      report.stages.stream_seconds = Seconds(stream_start);
-      pump.StampMeter();
-      return std::move(report);
-    }
     uint64_t cut = batch_edges - pending.size();
     if (checkpointing) {
       const uint64_t logical = report.edges_delivered + pending.size();
       cut = std::min(cut, options.checkpoint_every -
                               logical % options.checkpoint_every);
-    }
-    if (options.stop_after != 0) {
-      cut = std::min(cut, options.stop_after - delivered_this_run -
-                              pending.size());
     }
     const EdgeBatch batch = source.NextBatch(size_t(cut));
     if (batch.status == ReadStatus::kTransient) {
@@ -169,7 +192,15 @@ RunReport Pull(const DriveOptions& options,
       continue;
     }
     retry.Reset();
-    if (batch.status == ReadStatus::kEnd) break;
+    if (batch.status == ReadStatus::kEnd) {
+      if (kill_switch == nullptr || !kill_switch->Fired()) break;
+      // Simulated kill: walk away mid-stream. The last checkpoint on
+      // disk is exactly what a real crash would leave behind.
+      flush();
+      report.stages.stream_seconds = Seconds(stream_start);
+      pump.StampMeter();
+      return std::move(report);
+    }
     if (batch.status == ReadStatus::kCorrupt) {
       ++report.corrupt_records_skipped;
       ++report.faults_survived;
@@ -212,7 +243,8 @@ RunReport Pull(const DriveOptions& options,
 /// One pipeline of a W-way run: shard `shard`'s slice of the stream
 /// (W = 1: all of it), pulled by the one loop through
 ///
-///   file or memory -> schedule -> fault injector -> shard filter
+///   file or memory -> schedule -> kill switch -> fault injector
+///                  -> shard filter
 ///
 /// with each layer present only when the config asks for it. The
 /// schedule sits under the injector so fault decisions key on
@@ -220,9 +252,10 @@ RunReport Pull(const DriveOptions& options,
 /// pass schedules, checkpointable). The fault schedule is a pure
 /// function of (seed, position), so every shard sees the identical
 /// damaged stream and the filter surfaces its slice; W = 1 needs none.
+/// A nonzero `stop_position` is the kill point, in scheduled positions.
 RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
                    const std::optional<Checkpoint>& resume,
-                   const CheckpointSink& sink) {
+                   const CheckpointSink& sink, uint64_t stop_position) {
   const auto setup_start = Clock::now();
 
   std::unique_ptr<StreamingSetCoverAlgorithm> owned;
@@ -252,6 +285,10 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
   if (!config.source.schedule.Trivial()) {
     source = &scheduled.emplace(source, config.source.schedule);
   }
+  std::optional<KillSwitchSource> kill_switch;
+  if (stop_position != 0) {
+    source = &kill_switch.emplace(source, stop_position);
+  }
   std::optional<FaultInjector> injector;
   if (config.faults.has_value()) {
     source = &injector.emplace(source, *config.faults);
@@ -268,10 +305,10 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
   if (resume.has_value()) drive.resume_from = &*resume;
   drive.backoff = config.backoff;
   drive.sleeper = config.sleeper;
-  drive.stop_after = config.stop_after;
   drive.batch_edges = config.batch_edges;
   const double setup_seconds = Seconds(setup_start);
   RunReport report = Pull(drive, *algorithm, *source,
+                          kill_switch ? &*kill_switch : nullptr,
                           /*spot_check=*/config.source.stream != nullptr);
   report.stages.setup_seconds += setup_seconds;
   return report;
@@ -281,7 +318,8 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
 
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source) {
-  return Pull(options, algorithm, source, /*spot_check=*/false);
+  return Pull(options, algorithm, source, /*kill_switch=*/nullptr,
+              /*spot_check=*/false);
 }
 
 RunReport Execute(const RunConfig& config) {
@@ -320,13 +358,26 @@ RunReport Execute(const RunConfig& config) {
     writer.emplace(config.checkpoint.path, workers,
                    config.backend.partitioner.name, resume_slots);
   }
+  // stop_after counts stream positions from the run's start: the
+  // earliest slot's resume position (a fresh shard starts at 0), the
+  // position RunReport::resumed_at reports. So every shard of the run
+  // stops at the same stream prefix.
+  uint64_t stop_position = 0;
+  if (config.stop_after != 0) {
+    uint64_t start = UINT64_MAX;
+    for (const std::optional<Checkpoint>& slot : resume_slots) {
+      start = std::min<uint64_t>(start, slot ? slot->stream_position : 0);
+    }
+    stop_position = start + config.stop_after;
+  }
   report.stages.setup_seconds = Seconds(total_start);
 
   std::vector<RunReport> shard_reports(workers);
   auto run_shard = [&](size_t w) {
     shard_reports[w] =
         RunShard(config, workers, uint32_t(w), resume_slots[w],
-                 writer ? writer->SinkFor(uint32_t(w)) : CheckpointSink());
+                 writer ? writer->SinkFor(uint32_t(w)) : CheckpointSink(),
+                 stop_position);
   };
   if (workers == 1) {
     run_shard(0);

@@ -26,8 +26,8 @@ namespace engine {
 /// injection, checkpointing, batching, validation, worker count — and
 /// Execute() assembles W >= 1 set-partitioned pipelines
 ///
-///   source -> schedule -> fault injector -> shard filter -> Drive()
-///          -> algorithm -> finalize
+///   source -> schedule -> kill switch -> fault injector -> shard filter
+///          -> Drive() -> algorithm -> finalize
 ///
 /// merges their covers through the paper's §3 deterministic t-party
 /// protocol when W > 1, validates, and returns one unified RunReport.
@@ -226,14 +226,11 @@ struct DriveOptions {
   /// installs a real sleep.
   std::function<void(uint64_t)> sleeper;
 
-  /// Simulated kill switch: stop (without finalizing) once this many
-  /// edges have been delivered this run. 0 disables.
-  uint64_t stop_after = 0;
-
-  /// Edges per ProcessEdgeBatch flush. Checkpoint positions, the
-  /// stop_after kill point, and end-of-stream always fall exactly on a
-  /// flush, so reports and algorithm state are bit-identical at any
-  /// batch size (the batch/per-edge contract of ProcessEdgeBatch).
+  /// Edges per ProcessEdgeBatch flush. Checkpoint positions, the kill
+  /// point (RunConfig::stop_after), and end-of-stream always fall
+  /// exactly on a flush, so reports and algorithm state are
+  /// bit-identical at any batch size (the batch/per-edge contract of
+  /// ProcessEdgeBatch).
   size_t batch_edges = kIngestBatchEdges;
 };
 
@@ -244,8 +241,8 @@ struct DriveOptions {
 /// skip-and-count on corrupt records, and graceful degradation to a
 /// certified partial cover when the stream cannot be fully consumed.
 /// Each pull asks the source for at most the distance to the next cut
-/// (batch end, checkpoint position, stop_after); a span that reaches
-/// the cut goes to the algorithm in place, with no copy.
+/// (batch end, checkpoint position); a span that reaches the cut goes
+/// to the algorithm in place, with no copy.
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source);
 
@@ -311,7 +308,15 @@ struct RunConfig {
   /// Checkpoint/resume behavior.
   CheckpointSpec checkpoint;
 
-  /// Simulated kill switch (see DriveOptions::stop_after).
+  /// Simulated kill switch: stop (without finalizing) once the run has
+  /// consumed this many stream positions past its start. Positions are
+  /// scheduled positions (pass * N + record) and count every record of
+  /// the stream, whatever the fault injector does to it and whichever
+  /// shard owns it. The start is the earliest resume position of the
+  /// run's slots (0 for a fresh run; RunReport::resumed_at). So every
+  /// shard of a W-way run stops at the same stream prefix, and at W = 1
+  /// without faults the point is `stop_after` delivered edges. 0
+  /// disables.
   uint64_t stop_after = 0;
 
   /// Retry/sleep policy for transient source faults.

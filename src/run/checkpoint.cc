@@ -10,12 +10,15 @@ namespace setcover {
 namespace {
 
 constexpr uint32_t kMagic = 0x504B4353u;  // "SCKP" little-endian
-// v2 added session_sequence (the session server's exactly-once cursor);
-// v1 files, which lack it, are refused.
-constexpr uint32_t kVersion = 2;
+// v2 added session_sequence (the session server's exactly-once cursor).
+// v3 keeps that layout, but adversarial-level state gained a word (its
+// promotion countdown), so a v2 file's state words would be read with
+// the wrong layout; v1 and v2 files are refused.
+constexpr uint32_t kVersion = 3;
 
 constexpr uint32_t kShardedMagic = 0x48534353u;  // "SCSH" little-endian
-constexpr uint32_t kShardedVersion = 1;
+// v2: slots carry SCKP v3 bodies; v1 files are refused.
+constexpr uint32_t kShardedVersion = 2;
 
 void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));

@@ -17,7 +17,7 @@ namespace setcover {
 /// included by each algorithm's EncodeState), and the supervisor's own
 /// fault counters so a resumed run reports totals as if uninterrupted.
 ///
-/// On-disk layout (little-endian), file magic "SCKP", version 2:
+/// On-disk layout (little-endian), file magic "SCKP", version 3:
 ///   magic, version u32
 ///   name_len u32, name bytes
 ///   m u32, n u32, N u64
@@ -27,8 +27,10 @@ namespace setcover {
 ///   state_len u64, state words (u64 each)
 ///   crc u32 — CRC-32 of every byte after the magic
 ///
-/// Any other version — version 1 files, which had no session_sequence
-/// field, included — is refused with an error naming the version.
+/// Any other version is refused with an error naming the version:
+/// version 1 files had no session_sequence field, and version 2 files
+/// hold adversarial-level state without its promotion countdown word.
+/// No version 1 or 2 file is ever decoded as version 3 state.
 ///
 /// SaveCheckpoint stages into `path + ".tmp"` and atomically renames, so
 /// the previous valid checkpoint survives a crash mid-save; Load
@@ -85,7 +87,8 @@ std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
 /// combination of persisted slots resumes bit-identical to the unkilled
 /// run.
 ///
-/// On-disk layout (little-endian), file magic "SCSH", version 1:
+/// On-disk layout (little-endian), file magic "SCSH", version 2 (its
+/// slots hold SCKP version 3 bodies; version 1 files are refused):
 ///   magic, version u32
 ///   shards u32
 ///   partitioner_len u32, partitioner name bytes

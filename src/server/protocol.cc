@@ -300,6 +300,9 @@ std::optional<Message> DecodeMessage(const std::vector<uint8_t>& payload,
       message.open.meta.stream_length = in.U64();
       message.open.checkpoint_every = in.U64();
       message.open.workers = in.U32();
+      if (message.open.workers > kMaxSessionWorkers) {
+        return fail("open asks for more than kMaxSessionWorkers workers");
+      }
       if (in.U8() != 0) {
         FaultSchedule faults;
         faults.seed = in.U64();

@@ -87,6 +87,11 @@ inline constexpr size_t kMaxFrameBytes = 1u << 20;
 /// with room for the envelope).
 inline constexpr size_t kMaxIngestEdges = 65536;
 
+/// Largest worker fan-out a kOpen may ask for. A session builds one
+/// algorithm pipeline per worker, so the decoder refuses anything above
+/// this before a session is built.
+inline constexpr uint32_t kMaxSessionWorkers = 64;
+
 /// What kOpen carries — everything the server needs to build (or
 /// rebuild, after a crash) the engine::Session. The server persists
 /// the encoded kOpen frame as the session's manifest, so recovery
@@ -97,8 +102,8 @@ struct OpenBody {
   StreamMetadata meta;
   uint64_t checkpoint_every = 0;
   /// Worker fan-out behind the session (engine::SessionConfig::workers);
-  /// 0 or 1 = one pipeline. Requires a shardable algorithm and no fault
-  /// schedule when > 1.
+  /// 0 or 1 = one pipeline, at most kMaxSessionWorkers. Requires a
+  /// shardable algorithm and no fault schedule when > 1.
   uint32_t workers = 0;
   std::optional<FaultSchedule> faults;
 };

@@ -55,10 +55,6 @@ double Rng::UniformDouble() {
   return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
-void Rng::FillUniformDoubles(std::span<double> out) {
-  for (double& d : out) d = UniformDouble();
-}
-
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,12 +35,6 @@ class Rng {
 
   /// Returns a uniformly random double in `[0, 1)` with 53 random bits.
   double UniformDouble();
-
-  /// Fills `out` with exactly the values the next out.size() calls to
-  /// UniformDouble() would return, advancing the state identically —
-  /// the block-sampling primitive behind the vectorized Bernoulli scans
-  /// (util/sampling.h).
-  void FillUniformDoubles(std::span<double> out);
 
   /// Returns true with probability `p` (clamped to `[0, 1]`). This is the
   /// `Coin(p)` primitive used throughout the paper's algorithm listings.

@@ -1,51 +1,51 @@
 #ifndef SETCOVER_UTIL_SAMPLING_H_
 #define SETCOVER_UTIL_SAMPLING_H_
 
-#include <algorithm>
-#include <cstddef>
+#include <cmath>
 #include <cstdint>
-#include <span>
 
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace setcover {
 
-/// Branch-free Bernoulli scan: invokes `fn(i)` for exactly the indices
-/// i in [0, count) for which `rng.Bernoulli(p)` would have returned
-/// true in a plain loop, drawing the identical coin sequence.
+/// Failures before the first success in i.i.d. Bernoulli(p) trials, as
+/// a double: ⌊log1p(−U) / log_q⌋ for one U = rng.UniformDouble(), where
+/// log_q = log1p(−p). P(result >= k) = (1 − p)^k, so the result is
+/// Geometric(p) on {0, 1, ...}. It may be huge, +inf or NaN (p at or
+/// near 0): callers compare it with their bound before converting it
+/// to an integer, and treat a failed compare as "no success in range".
+inline double GeometricFailures(Rng& rng, double log_q) {
+  return std::floor(std::log1p(-rng.UniformDouble()) / log_q);
+}
+
+/// Geometric-skip Bernoulli sampling: invokes `fn(i)`, in ascending
+/// order, for a random subset of [0, count) that holds each index
+/// independently with probability p — the same distribution as one
+/// `rng.Bernoulli(p)` per index, drawn from a different coin stream.
+/// Each hit costs one coin: the scan jumps straight over the misses
+/// in front of it (GeometricFailures), and one more coin finds the gap
+/// that runs past `count`. So the set-sampling steps of the paper
+/// (Algorithm 2's D_0, Algorithm 1's Sol and tracking samples Q̃) cost
+/// O(expected hits), not O(m).
 ///
-/// Bit-identity with the scalar loop rests on two contracts:
-///  * Rng::Bernoulli draws one UniformDouble() if and only if
-///    0 < p < 1 (p <= 0 is false and p >= 1 is true without touching
-///    the generator) — mirrored here by the early-outs;
-///  * UniformDouble() values are exact binary64 ((x >> 11) · 2⁻⁵³), so
-///    the kernel's `coin < p` compare agrees with the scalar compare on
-///    every tier.
-///
-/// The coins are drawn in blocks and scanned with the active SIMD
-/// threshold kernel, which turns the per-set sampling loops (KK D_0,
-/// random-order epoch 0 / tracking samples) from one branch per set
-/// into one compare per lane.
+/// p <= 0 and NaN give no hits and p >= 1 gives every index, without
+/// touching the generator.
 template <typename Fn>
 void ForEachBernoulliHit(Rng& rng, uint32_t count, double p, Fn&& fn) {
-  if (count == 0 || p <= 0.0) return;
+  if (count == 0 || !(p > 0.0)) return;
   if (p >= 1.0) {
     for (uint32_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  constexpr size_t kBlock = 512;
-  double coins[kBlock];
-  uint32_t hits[kBlock];
-  const simd::Kernels& kernels = simd::Active();
-  for (uint64_t base = 0; base < count; base += kBlock) {
-    const size_t chunk = std::min<size_t>(kBlock, count - base);
-    rng.FillUniformDoubles(std::span(coins, chunk));
-    const size_t hit_count =
-        kernels.less_than_indices_f64(coins, chunk, p, hits);
-    for (size_t j = 0; j < hit_count; ++j) {
-      fn(static_cast<uint32_t>(base + hits[j]));
-    }
+  const double log_q = std::log1p(-p);
+  for (uint32_t next = 0;;) {
+    const double gap = GeometricFailures(rng, log_q);
+    // Compared as a double, so a huge, infinite or NaN gap ends the
+    // scan instead of overflowing the index.
+    if (!(gap < double(count - next))) return;
+    const uint32_t hit = next + uint32_t(gap);
+    fn(hit);
+    next = hit + 1;  // <= count, as hit < count
   }
 }
 

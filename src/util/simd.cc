@@ -81,17 +81,6 @@ __attribute__((always_inline)) inline uint64_t PopcountAndnotBody(
   return t0 + t1;
 }
 
-__attribute__((always_inline)) inline size_t LessThanIndicesBody(
-    const double* values, size_t count, double threshold,
-    uint32_t* out_indices) {
-  size_t found = 0;
-  for (size_t i = 0; i < count; ++i) {
-    out_indices[found] = uint32_t(i);  // branch-free emit
-    found += values[i] < threshold ? 1 : 0;
-  }
-  return found;
-}
-
 __attribute__((always_inline)) inline size_t SelectMaskedPairsBody(
     const uint32_t* pairs, size_t count, uint32_t mask, uint32_t value,
     uint32_t* out_pairs) {
@@ -159,11 +148,6 @@ uint64_t PopcountAndnotScalar(const uint64_t* a, const uint64_t* b,
   return PopcountAndnotBody(a, b, count);
 }
 
-size_t LessThanIndicesScalar(const double* values, size_t count,
-                             double threshold, uint32_t* out_indices) {
-  return LessThanIndicesBody(values, count, threshold, out_indices);
-}
-
 size_t SelectMaskedPairsScalar(const uint32_t* pairs, size_t count,
                                uint32_t mask, uint32_t value,
                                uint32_t* out_pairs) {
@@ -177,8 +161,8 @@ size_t DecodeVarintPairsScalar(const uint8_t* bytes, size_t size,
 }
 
 constexpr Kernels kScalarKernels = {
-    GatherBitsScalar,      GatherEqualU32Scalar,    PopcountWordsScalar,
-    PopcountAndnotScalar,  LessThanIndicesScalar,   SelectMaskedPairsScalar,
+    GatherBitsScalar,        GatherEqualU32Scalar, PopcountWordsScalar,
+    PopcountAndnotScalar,    SelectMaskedPairsScalar,
     DecodeVarintPairsScalar, Crc32cPortable,
 };
 
@@ -228,12 +212,6 @@ __attribute__((target("sse4.2,popcnt"))) uint64_t PopcountWordsSse42(
 __attribute__((target("sse4.2,popcnt"))) uint64_t PopcountAndnotSse42(
     const uint64_t* a, const uint64_t* b, size_t count) {
   return PopcountAndnotBody(a, b, count);
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t LessThanIndicesSse42(
-    const double* values, size_t count, double threshold,
-    uint32_t* out_indices) {
-  return LessThanIndicesBody(values, count, threshold, out_indices);
 }
 
 __attribute__((target("sse4.2,popcnt"))) size_t SelectMaskedPairsSse42(
@@ -474,8 +452,8 @@ __attribute__((target("sse4.2,popcnt"))) size_t DecodeVarintPairsSse42(
 }
 
 constexpr Kernels kSse42Kernels = {
-    GatherBitsSse42,      GatherEqualU32Sse42,    PopcountWordsSse42,
-    PopcountAndnotSse42,  LessThanIndicesSse42,   SelectMaskedPairsSse42,
+    GatherBitsSse42,        GatherEqualU32Sse42, PopcountWordsSse42,
+    PopcountAndnotSse42,    SelectMaskedPairsSse42,
     DecodeVarintPairsSse42, Crc32cSse42,
 };
 
@@ -560,28 +538,6 @@ __attribute__((target("avx2,popcnt"))) uint64_t PopcountAndnotAvx2(
   return PopcountAndnotBody(a, b, count);
 }
 
-__attribute__((target("avx2"))) size_t LessThanIndicesAvx2(
-    const double* values, size_t count, double threshold,
-    uint32_t* out_indices) {
-  const __m256d kThreshold = _mm256_set1_pd(threshold);
-  size_t found = 0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256d v = _mm256_loadu_pd(values + i);
-    unsigned hits = unsigned(
-        _mm256_movemask_pd(_mm256_cmp_pd(v, kThreshold, _CMP_LT_OQ)));
-    while (hits) {
-      out_indices[found++] = uint32_t(i + unsigned(std::countr_zero(hits)));
-      hits &= hits - 1;
-    }
-  }
-  for (; i < count; ++i) {
-    out_indices[found] = uint32_t(i);
-    found += values[i] < threshold ? 1 : 0;
-  }
-  return found;
-}
-
 // permutevar8x32 lane indices per 4-bit hit mask: the hit pairs (two
 // 32-bit lanes each) move to the front, in order; the rest is don't-care.
 struct PairCompressTable {
@@ -640,8 +596,8 @@ __attribute__((target("avx2,popcnt"))) size_t DecodeVarintPairsAvx2(
 }
 
 constexpr Kernels kAvx2Kernels = {
-    GatherBitsAvx2,      GatherEqualU32Avx2,    PopcountWordsAvx2,
-    PopcountAndnotAvx2,  LessThanIndicesAvx2,   SelectMaskedPairsAvx2,
+    GatherBitsAvx2,        GatherEqualU32Avx2, PopcountWordsAvx2,
+    PopcountAndnotAvx2,    SelectMaskedPairsAvx2,
     DecodeVarintPairsAvx2, Crc32cSse42,
 };
 

@@ -64,12 +64,6 @@ struct Kernels {
   uint64_t (*popcount_andnot_words)(const uint64_t* a, const uint64_t* b,
                                     size_t count);
 
-  /// Branch-free threshold scan: writes the indices i with
-  /// values[i] < threshold to out_indices (ascending) and returns how
-  /// many — the Bernoulli block-sampling primitive (coin < p).
-  size_t (*less_than_indices_f64)(const double* values, size_t count,
-                                  double threshold, uint32_t* out_indices);
-
   /// Owner screen over interleaved (set, element) pairs — pairs[2i] a
   /// set id, pairs[2i + 1] its element, the memory layout of an Edge
   /// array: copies, in order, the pairs whose set & mask == value to

@@ -1,6 +1,8 @@
 #include "core/adversarial_level.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +107,111 @@ TEST(AdversarialLevelTest, CoverBoundedOnPlantedInstance) {
   double bound = 8.0 * alpha * std::log2(2048.0) *
                  double(inst.PlantedCover().size());
   EXPECT_LE(double(sol.cover.size()), bound);
+}
+
+// Feeds `n` edges whose elements are all distinct, so every edge is an
+// uncovered-edge event (line 11 never skips one), and returns the
+// promotions: the levels summed over the promoted sets.
+double PromotionsOverDistinctElements(AdversarialLevelAlgorithm& algorithm,
+                                      uint32_t n, uint32_t m) {
+  algorithm.Begin(StreamMetadata{m, n, n});
+  for (ElementId u = 0; u < n; ++u) algorithm.ProcessEdge({u % m, u});
+  algorithm.Finalize();
+  const std::vector<size_t> histogram = algorithm.LevelHistogram();
+  double promotions = 0;
+  for (size_t level = 1; level < histogram.size(); ++level) {
+    promotions += double(level * histogram[level]);
+  }
+  return promotions;
+}
+
+TEST(AdversarialLevelTest, PromotesOncePerAlphaUncoveredEdges) {
+  // The promotion countdown is the paper's Coin(1/α) per uncovered edge,
+  // reparametrized: over n events the promotions are Binomial(n, 1/α),
+  // here n = 40,000 and α = 2√n = 400, so mean 100 and variance 99. Over
+  // 100 seeds the mean lands within 4 standard errors (measured
+  // 98.0–101.4 over ten seed bases), and the per-run variance within
+  // ±50% (measured 87–117): a countdown that drew a fixed gap of α
+  // would hit the mean with variance near 0.
+  constexpr uint32_t n = 40000, m = 1000;
+  constexpr int kRuns = 100;
+  const double alpha = 2.0 * std::sqrt(double(n));
+  const double p = 1.0 / alpha;
+  double sum = 0, sum_squares = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    AdversarialLevelAlgorithm algorithm(500 + run);
+    const double promotions = PromotionsOverDistinctElements(algorithm, n, m);
+    EXPECT_DOUBLE_EQ(algorithm.EffectiveAlpha(), alpha);
+    sum += promotions;
+    sum_squares += promotions * promotions;
+  }
+  const double mean = sum / kRuns;
+  const double variance = (sum_squares - kRuns * mean * mean) / (kRuns - 1);
+  const double expected_variance = n * p * (1 - p);
+  EXPECT_NEAR(mean, n * p, 4 * std::sqrt(expected_variance / kRuns));
+  EXPECT_GT(variance, 0.5 * expected_variance);
+  EXPECT_LT(variance, 1.5 * expected_variance);
+}
+
+// EncodeState word 4, right after the four RNG words.
+constexpr size_t kPromoteGapWord = 4;
+
+TEST(AdversarialLevelTest, PromotionCountdownTravelsInTheState) {
+  auto inst = PlantedInstance(100, 300, 4, 11);
+  Rng rng(12);
+  const EdgeStream stream = OrderedStream(inst, StreamOrder::kRandom, rng);
+  const size_t cut = stream.size() / 2;
+
+  AdversarialLevelAlgorithm reference(31);
+  reference.Begin(stream.meta);
+  AdversarialLevelAlgorithm victim(31);
+  victim.Begin(stream.meta);
+  for (size_t i = 0; i < cut; ++i) {
+    reference.ProcessEdge(stream.edges[i]);
+    victim.ProcessEdge(stream.edges[i]);
+  }
+  StateEncoder encoder;
+  victim.EncodeState(&encoder);
+  const std::vector<uint64_t> words = encoder.Words();
+  EXPECT_EQ(victim.StateWords(), words.size());
+  EXPECT_GE(words[kPromoteGapWord], 1u);
+
+  // The decoded run flips the reference's coins from the cut on.
+  AdversarialLevelAlgorithm revived(999);
+  ASSERT_TRUE(revived.DecodeState(stream.meta, words));
+  for (size_t i = cut; i < stream.size(); ++i) {
+    reference.ProcessEdge(stream.edges[i]);
+    revived.ProcessEdge(stream.edges[i]);
+  }
+  const CoverSolution expected = reference.Finalize();
+  const CoverSolution actual = revived.Finalize();
+  EXPECT_EQ(actual.cover, expected.cover);
+  EXPECT_EQ(actual.certificate, expected.certificate);
+  EXPECT_EQ(revived.LevelHistogram(), reference.LevelHistogram());
+
+  // A countdown of 0 could never have been drawn: refused.
+  std::vector<uint64_t> zero_gap = words;
+  zero_gap[kPromoteGapWord] = 0;
+  AdversarialLevelAlgorithm refused(7);
+  EXPECT_FALSE(refused.DecodeState(stream.meta, zero_gap));
+}
+
+TEST(AdversarialLevelTest, HugeAlphaSaturatesThePromotionCountdown) {
+  // 1/α too small for a finite gap: the draw saturates at
+  // kMaxPromoteGap instead of overflowing, and nothing is promoted.
+  for (double alpha : {1e300, std::numeric_limits<double>::infinity()}) {
+    AdversarialLevelParams params;
+    params.alpha = alpha;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      AdversarialLevelAlgorithm algorithm(seed, params);
+      EXPECT_EQ(PromotionsOverDistinctElements(algorithm, 2000, 50), 0.0);
+      StateEncoder encoder;
+      algorithm.EncodeState(&encoder);
+      EXPECT_EQ(encoder.Words()[kPromoteGapWord],
+                AdversarialLevelAlgorithm::kMaxPromoteGap - 2000)
+          << alpha;
+    }
+  }
 }
 
 }  // namespace

@@ -129,7 +129,9 @@ TEST_P(BackendSweep, CheckpointSidecarsAreByteIdenticalAcrossBackends) {
           BaseConfig(GetParam(), fixture.stream, backend, workers);
       config.checkpoint.path = path;
       config.checkpoint.every = 10;
-      config.stop_after = 25;
+      // About 25 edges per shard: the kill point counts stream
+      // positions, which the W shards share.
+      config.stop_after = 25 * workers;
       engine::RunReport report = engine::Execute(config);
       ASSERT_TRUE(report.error.empty()) << context << ": " << report.error;
       ASSERT_FALSE(report.completed) << context;

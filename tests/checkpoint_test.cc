@@ -1,6 +1,8 @@
 #include "run/checkpoint.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -94,6 +96,53 @@ TEST(CheckpointTest, RefusesVersion1Files) {
   std::string error;
   EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+// Rewrites the version field (bytes 4..7) of the file at `path` and
+// re-stamps its trailing CRC, so only the version is wrong.
+void RestampVersion(const std::string& path, uint32_t version) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> bytes(1 << 16);
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::fclose(f);
+  ASSERT_GT(bytes.size(), 12u);
+  std::memcpy(bytes.data() + 4, &version, 4);
+  const uint32_t crc = Crc32(bytes.data() + 4, bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+  f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(CheckpointTest, RefusesVersion2Files) {
+  // SCKP v2 has v3's layout, but its adversarial-level state lacks the
+  // promotion countdown word: a CRC-intact v2 file is refused by
+  // version, never decoded.
+  const std::string path = TempPath("ckpt_v2.sckp");
+  std::string error;
+  ASSERT_TRUE(SaveCheckpoint(SampleCheckpoint(), path, &error)) << error;
+  RestampVersion(path, 2);
+  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("version 2 is not supported"), std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, RefusesShardedVersion1Files) {
+  const std::string path = TempPath("ckpt_v1.scsh");
+  ShardedCheckpoint sharded;
+  sharded.shards = 2;
+  sharded.partitioner = "set-mod";
+  sharded.shard_states = {SampleCheckpoint(), std::nullopt};
+  std::string error;
+  ASSERT_TRUE(SaveShardedCheckpoint(sharded, path, &error)) << error;
+  RestampVersion(path, 1);
+  EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("version 1 is not supported"), std::string::npos)
+      << error;
   std::remove(path.c_str());
 }
 
@@ -242,7 +291,7 @@ TEST(CheckpointTest, SckpBytesMatchThePerByteEncoder) {
     ASSERT_TRUE(SaveCheckpoint(checkpoint, path, &error)) << error;
     std::vector<uint8_t> expected;
     RefU32(&expected, 0x504B4353u);  // "SCKP"
-    RefU32(&expected, 2);
+    RefU32(&expected, 3);
     RefBody(&expected, checkpoint);
     EXPECT_EQ(ReadFile(path), RefWithCrc(expected)) << words << " words";
   }
@@ -269,7 +318,7 @@ TEST(CheckpointTest, ScshBytesMatchThePerByteEncoder) {
     ASSERT_TRUE(SaveShardedCheckpoint(sharded, path, &error)) << error;
     std::vector<uint8_t> expected;
     RefU32(&expected, 0x48534353u);  // "SCSH"
-    RefU32(&expected, 1);
+    RefU32(&expected, 2);
     RefU32(&expected, sharded.shards);
     RefU32(&expected, uint32_t(sharded.partitioner.size()));
     for (char c : sharded.partitioner) expected.push_back(uint8_t(c));

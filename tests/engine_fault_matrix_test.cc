@@ -16,6 +16,7 @@
 #include "core/registry.h"
 #include "engine/engine.h"
 #include "instance/generators.h"
+#include "stream/fault_injector.h"
 #include "stream/orderings.h"
 #include "util/rng.h"
 
@@ -93,7 +94,10 @@ TEST_P(FaultMatrix, ResumeAfterKillIsBitIdenticalUnderEachFaultKind) {
       engine::RunConfig kill = base;
       kill.checkpoint.path = path;
       kill.checkpoint.every = k;
-      kill.stop_after = k;
+      // The kill point counts stream positions, faulty or not: 2k of
+      // them deliver k edges (the k-th one a checkpoint) under every
+      // fault kind here, drops included.
+      kill.stop_after = 2 * k;
       engine::RunReport killed = engine::Execute(kill);
       ASSERT_FALSE(killed.completed) << kill_context;
       ASSERT_TRUE(killed.error.empty()) << kill_context << ": "
@@ -124,6 +128,49 @@ TEST_P(FaultMatrix, ResumeAfterKillIsBitIdenticalUnderEachFaultKind) {
     }
   }
   std::remove(path.c_str());
+}
+
+// The kill switch counts stream positions, whatever the injector does
+// to them: a run killed at position k has taken exactly the records of
+// positions [0, k) — each duplicate twice, each drop and corrupt record
+// never — at every W, since it sits under the injector and the shard
+// filter.
+TEST(FaultMatrixTest, KillPointIsTheSameStreamPrefixAtEveryW) {
+  Rng rng(211);
+  UniformRandomParams p;
+  p.num_elements = 60;
+  p.num_sets = 80;
+  SetCoverInstance instance = GenerateUniformRandom(p, rng);
+  EdgeStream stream = OrderedStream(instance, StreamOrder::kRandom, rng);
+  const FaultSchedule schedule = FaultSchedule::AllKinds(17, 0.1);
+  VectorEdgeSource base(stream);
+  const FaultInjector kinds(&base, schedule);
+
+  uint64_t delivered = 0, corrupt = 0;
+  for (uint64_t stop = 1; stop < stream.size(); ++stop) {
+    const FaultKind kind = kinds.KindAt(stop - 1);
+    delivered += kind == FaultKind::kDuplicate ? 2
+                 : kind == FaultKind::kDrop || kind == FaultKind::kCorrupt
+                     ? 0
+                     : 1;
+    corrupt += kind == FaultKind::kCorrupt ? 1 : 0;
+    if (stop % 5 != 0) continue;
+    for (uint32_t workers : {1u, 3u}) {
+      const std::string context = "stop=" + std::to_string(stop) +
+                                  " W=" + std::to_string(workers);
+      engine::RunConfig kill;
+      kill.algorithm = "kk";
+      kill.source = engine::SourceSpec::InMemory(stream);
+      kill.faults = schedule;
+      kill.stop_after = stop;
+      kill.backend.workers = workers;
+      const engine::RunReport killed = engine::Execute(kill);
+      ASSERT_TRUE(killed.error.empty()) << context << ": " << killed.error;
+      EXPECT_FALSE(killed.completed) << context;
+      EXPECT_EQ(killed.edges_delivered, delivered) << context;
+      EXPECT_EQ(killed.corrupt_records_skipped, corrupt) << context;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, FaultMatrix,

@@ -87,7 +87,9 @@ TEST(KkAlgorithmTest, LevelHistogramDecaysGeometrically) {
   }
   ASSERT_GT(level_sums[0], 0.0);
   EXPECT_LT(level_sums[1], 0.75 * level_sums[0]);
-  if (level_sums[1] > 0) EXPECT_LT(level_sums[2], 0.75 * level_sums[1]);
+  if (level_sums[1] > 0) {
+    EXPECT_LT(level_sums[2], 0.75 * level_sums[1]);
+  }
 }
 
 TEST(KkAlgorithmTest, SampledSolutionIsSmallOnPlantedInstances) {

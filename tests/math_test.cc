@@ -38,9 +38,11 @@ TEST(MathTest, CeilDiv) {
 TEST(MathTest, ISqrtExactSquares) {
   for (uint64_t r = 0; r < 2000; ++r) {
     EXPECT_EQ(ISqrt(r * r), r);
-    if (r > 0) EXPECT_EQ(ISqrt(r * r - 1), r - 1);
-    // (r² + 1) only rounds down to r for r >= 1 (ISqrt(1) = 1).
-    if (r > 0) EXPECT_EQ(ISqrt(r * r + 1), r);
+    if (r > 0) {
+      EXPECT_EQ(ISqrt(r * r - 1), r - 1);
+      // (r² + 1) only rounds down to r for r >= 1 (ISqrt(1) = 1).
+      EXPECT_EQ(ISqrt(r * r + 1), r);
+    }
   }
 }
 

@@ -151,7 +151,12 @@ INSTANTIATE_TEST_SUITE_P(AllFormats, PrefetchFormats,
                          testing::Values(StreamFormat::kV1, StreamFormat::kV2,
                                          StreamFormat::kV3),
                          [](const testing::TestParamInfo<StreamFormat>& i) {
-                           return "v" + std::to_string(uint32_t(i.param));
+                           // Appended, not "v" + std::string: that trips
+                           // a false -Wrestrict in GCC 12's optimized
+                           // builds.
+                           std::string name = "v";
+                           name += std::to_string(uint32_t(i.param));
+                           return name;
                          });
 
 TEST(PrefetchDecoderTest, CorruptChunkEndsTheStreamWithFlags) {

@@ -437,6 +437,43 @@ TEST(SessionServer, MalformedFramesGetErrorsAndConnectionSurvives) {
   server.DrainAndStop();
 }
 
+TEST(SessionServer, OversizedOpenWorkersIsAnErrorAndServingContinues) {
+  // A kOpen asking for 2^32 - 1 pipelines is refused where the frame is
+  // decoded: kError, no session built, and the connection keeps serving.
+  Fixture fixture = MakeFixture(208);
+  const std::string algorithm = RegisteredAlgorithmNames().front();
+
+  LocalEndpoint endpoint;
+  SessionServer server({}, endpoint.Listen());
+  server.Start();
+
+  std::string error;
+  auto connection = endpoint.Connect(&error);
+  ASSERT_NE(connection, nullptr) << error;
+
+  Message open;
+  open.type = MessageType::kOpen;
+  open.session_id = 4;
+  open.open = MakeOpen(algorithm, 21, fixture);
+  open.open.workers = 0xFFFFFFFFu;
+  ASSERT_TRUE(connection->Send(EncodeMessage(open)));
+  std::vector<uint8_t> raw_reply;
+  ASSERT_TRUE(connection->Receive(&raw_reply));
+  std::optional<Message> decoded = DecodeMessage(raw_reply, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->type, MessageType::kError);
+  EXPECT_NE(decoded->error.find("kMaxSessionWorkers"), std::string::npos)
+      << decoded->error;
+
+  open.open.workers = 1;
+  ASSERT_TRUE(connection->Send(EncodeMessage(open)));
+  ASSERT_TRUE(connection->Receive(&raw_reply));
+  decoded = DecodeMessage(raw_reply, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->type, MessageType::kOpenOk);
+  server.DrainAndStop();
+}
+
 TEST(SessionServer, UnknownSessionAndUnknownAlgorithmAreCleanErrors) {
   Fixture fixture = MakeFixture(207);
   LocalEndpoint endpoint;

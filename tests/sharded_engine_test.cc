@@ -166,15 +166,18 @@ TEST_P(ShardedSweep, MergedCoverAndMessageWithinProtocolBounds) {
   }
 }
 
-// (c) Kill-and-resume mid-ingest: a sharded run killed after k edges
-// per shard, then resumed from the ONE aggregate checkpoint file, must
-// finish byte-for-byte identical to the unkilled sharded run — at
-// every W, including W=7 where the slices are lopsided.
+// (c) Kill-and-resume mid-ingest: a run killed at stream position
+// ⌈N/2⌉, then resumed from the ONE checkpoint file (aggregate SCSH at
+// W > 1), must finish byte-for-byte identical to the unkilled run — at
+// every W, including W=7 where the slices are lopsided. The kill point
+// means the same at every W: the shards stop at one stream prefix, so
+// together they took exactly its ⌈N/2⌉ edges.
 TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
   Fixture fixture = MakePlantedFixture(301);
   const std::string path = TempPath("resume_" + GetParam() + ".scsh");
+  const uint64_t half = (fixture.stream.size() + 1) / 2;
 
-  for (uint32_t shards : {2u, 4u, 7u}) {
+  for (uint32_t shards : {1u, 2u, 4u, 7u}) {
     const std::string context =
         GetParam() + " W=" + std::to_string(shards);
     engine::RunConfig base =
@@ -185,19 +188,27 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
     engine::RunConfig kill = base;
     kill.checkpoint.path = path;
     kill.checkpoint.every = 10;
-    kill.stop_after = 25;  // every shard holds hundreds of edges
+    kill.stop_after = half;  // each shard is past its first checkpoints
     engine::RunReport killed = engine::Execute(kill);
     ASSERT_TRUE(killed.error.empty()) << context << ": " << killed.error;
     ASSERT_FALSE(killed.completed) << context;
+    EXPECT_EQ(killed.edges_delivered, half) << context;
     ASSERT_GE(killed.checkpoints_written, uint64_t{shards}) << context;
     std::string error;
-    const std::optional<ShardedCheckpoint> slots =
-        LoadShardedCheckpoint(path, &error);
-    ASSERT_TRUE(slots.has_value()) << context << ": " << error;
     uint64_t earliest = UINT64_MAX;
-    for (const std::optional<Checkpoint>& slot : slots->shard_states) {
-      ASSERT_TRUE(slot.has_value()) << context;
-      earliest = std::min<uint64_t>(earliest, slot->stream_position);
+    if (shards == 1) {
+      const std::optional<Checkpoint> slot = LoadCheckpoint(path, &error);
+      ASSERT_TRUE(slot.has_value()) << context << ": " << error;
+      earliest = slot->stream_position;
+    } else {
+      const std::optional<ShardedCheckpoint> slots =
+          LoadShardedCheckpoint(path, &error);
+      ASSERT_TRUE(slots.has_value()) << context << ": " << error;
+      for (const std::optional<Checkpoint>& slot : slots->shard_states) {
+        ASSERT_TRUE(slot.has_value()) << context;
+        EXPECT_LE(slot->stream_position, half) << context;
+        earliest = std::min<uint64_t>(earliest, slot->stream_position);
+      }
     }
 
     engine::RunConfig resume = base;
@@ -367,7 +378,7 @@ TEST(ShardedEngineTest, CustomPartitionerRunsAndGuardsResume) {
   kill.validate = nullptr;
   kill.checkpoint.path = path;
   kill.checkpoint.every = 10;
-  kill.stop_after = 25;
+  kill.stop_after = fixture.stream.size() / 2;
   ASSERT_TRUE(engine::Execute(kill).error.empty());
 
   engine::RunConfig wrong = kill;
@@ -390,7 +401,7 @@ TEST(ShardedEngineTest, ResumeAtDifferentShardCountIsRefused) {
   engine::RunConfig kill = BaseConfig("kk", fixture.stream, 4);
   kill.checkpoint.path = path;
   kill.checkpoint.every = 10;
-  kill.stop_after = 25;
+  kill.stop_after = fixture.stream.size() / 2;
   ASSERT_TRUE(engine::Execute(kill).error.empty());
 
   engine::RunConfig wrong = BaseConfig("kk", fixture.stream, 2);

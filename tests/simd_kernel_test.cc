@@ -126,47 +126,6 @@ TEST(SimdKernelTest, PopcountKernelsMatchScalarAtEveryTier) {
   }
 }
 
-TEST(SimdKernelTest, LessThanIndicesMatchesScalarAtEveryTier) {
-  Rng rng(4);
-  for (simd::Level level : TestableLevels()) {
-    const simd::Kernels& kernels = simd::ForLevel(level);
-    for (size_t count : kSizes) {
-      std::vector<double> values(count);
-      for (double& v : values) v = rng.UniformDouble();
-      // Thresholds at the degenerate ends and in between; the exact
-      // coin values also appear as thresholds so the strict `<` edge
-      // (coin == p never fires) is exercised.
-      std::vector<double> thresholds = {0.0, 1e-12, 0.25, 0.5, 0.75, 1.0};
-      if (count > 0) thresholds.push_back(values[count / 2]);
-      for (double threshold : thresholds) {
-        std::vector<uint32_t> expected(count + 1, 0xDEADBEEF);
-        std::vector<uint32_t> actual(count + 1, 0xDEADBEEF);
-        const size_t expected_found =
-            simd::ForLevel(simd::Level::kScalar)
-                .less_than_indices_f64(values.data(), count, threshold,
-                                       expected.data());
-        const size_t actual_found = kernels.less_than_indices_f64(
-            values.data(), count, threshold, actual.data());
-        ASSERT_EQ(expected_found, actual_found)
-            << simd::LevelName(level) << " count=" << count
-            << " threshold=" << threshold;
-        for (size_t i = 0; i < expected_found; ++i) {
-          ASSERT_EQ(expected[i], actual[i])
-              << simd::LevelName(level) << " count=" << count
-              << " threshold=" << threshold << " i=" << i;
-        }
-        // Emitted indices are ascending and all satisfy the predicate.
-        for (size_t i = 0; i < actual_found; ++i) {
-          ASSERT_LT(values[actual[i]], threshold);
-          if (i > 0) {
-            ASSERT_LT(actual[i - 1], actual[i]);
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, SelectMaskedPairsMatchesScalarAtEveryTier) {
   Rng rng(6);
   // Every sub-vector remainder, plus a kIngestBatchEdges-sized slice and

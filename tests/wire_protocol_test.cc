@@ -3,6 +3,8 @@
 // trailing-garbage frame survives DecodeMessage. scripts/check.sh runs
 // this under ASan — hostile bytes must fail cleanly, never crash.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -280,6 +282,26 @@ TEST(WireProtocol, OversizeFramesAndOversizeBatchesAreRejected) {
   m.edges.assign(kMaxIngestEdges + 1, Edge{1, 1});
   const std::vector<uint8_t> payload = EncodeMessage(m);
   EXPECT_FALSE(DecodeMessage(payload, &error).has_value());
+}
+
+// A kOpen's worker count sizes the session the server builds, so the
+// decoder bounds it the way it bounds the algorithm name: the bound
+// itself decodes, anything above is refused before a session exists.
+TEST(WireProtocol, OpenWorkersAboveTheBoundAreRejected) {
+  std::string error;
+  Message m = SampleOpen();
+  m.open.workers = kMaxSessionWorkers;
+  std::optional<Message> decoded = DecodeMessage(EncodeMessage(m), &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->open.workers, kMaxSessionWorkers);
+
+  for (const uint32_t workers : {kMaxSessionWorkers + 1, 0xFFFFFFFFu}) {
+    m.open.workers = workers;
+    EXPECT_FALSE(DecodeMessage(EncodeMessage(m), &error).has_value())
+        << workers;
+    EXPECT_NE(error.find("kMaxSessionWorkers"), std::string::npos)
+        << error;
+  }
 }
 
 // The zero-copy ingest encoder must be indistinguishable on the wire

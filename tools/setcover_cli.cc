@@ -36,8 +36,9 @@
 //             run writes a CRC-guarded checkpoint every K edges;
 //             --resume restarts from the last valid checkpoint and
 //             replays only the tail, bit-identical to an uninterrupted
-//             run. --stop-after kills the run after K edges (for
-//             demonstrating/testing recovery; docs/robustness.md).
+//             run. --stop-after kills the run after K stream
+//             positions, at any --shards (for demonstrating/testing
+//             recovery; docs/robustness.md).
 //             --no-prefetch disables the background pipeline decoder
 //             and --no-mmap the zero-copy file mapping; both exist for
 //             benchmarking and debugging — results are bit-identical
@@ -75,10 +76,10 @@
 // RunConfig and print fields of the returned RunReport.
 //
 // Examples:
-//   setcover_cli generate --family=planted --n=1024 --m=65536 \
+//   setcover_cli generate --family=planted --n=1024 --m=65536
 //       --opt=4 --out=/tmp/inst.txt
 //   setcover_cli solve --instance=/tmp/inst.txt --algorithm=random-order
-//   setcover_cli stream --instance=/tmp/inst.txt --order=random \
+//   setcover_cli stream --instance=/tmp/inst.txt --order=random
 //       --out=/tmp/stream.bin
 //   setcover_cli solve-stream --stream=/tmp/stream.bin --algorithm=kk
 
