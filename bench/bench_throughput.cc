@@ -10,10 +10,9 @@
 // parallel multi-run driver across thread counts on the same stream.
 //
 // BM_FileReplay measures the on-disk replay path end to end (open →
-// decode → CRC → ProcessEdgeBatch) across the stream-file format and
-// decoder matrix. Row 0 (v2, stdio, synchronous) is the pre-v3
-// pipeline — the baseline the perf gate in scripts/check.sh compares
-// against; v3-mmap-prefetch is the shipping default.
+// decode → CRC → ProcessEdgeBatch) for the one stream-file read path,
+// v3 from a mapping, with decode on the calling thread and on the
+// prefetch thread; v3-mmap-prefetch is the shipping default.
 
 #include <benchmark/benchmark.h>
 
@@ -430,35 +429,17 @@ BENCHMARK(BM_InstanceBuild)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 
 struct ReplayConfig {
   const char* label;
-  StreamFormat format;
-  bool use_mmap;
   bool prefetch;
 };
 
 constexpr ReplayConfig kReplayConfigs[] = {
-    // Row 0: the pre-v3 read pipeline (buffered stdio, synchronous
-    // decode) over the v2 format — the file-replay baseline.
-    {"file-replay/v2-stdio-sync", StreamFormat::kV2, false, false},
-    {"file-replay/v2-mmap-sync", StreamFormat::kV2, true, false},
-    {"file-replay/v2-mmap-prefetch", StreamFormat::kV2, true, true},
-    {"file-replay/v3-mmap-sync", StreamFormat::kV3, true, false},
-    {"file-replay/v3-mmap-prefetch", StreamFormat::kV3, true, true},
+    {"file-replay/v3-mmap-sync", false},
+    {"file-replay/v3-mmap-prefetch", true},
 };
 
-/// The shared stream written once per format, replayed by every
-/// BM_FileReplay row.
-const std::string& ReplayPath(StreamFormat format) {
-  static const std::string v2 = [] {
-    std::string path = "/tmp/setcover_bench_replay_v2.bin";
-    std::string error;
-    if (!WriteStreamFile(SharedStream(), path, StreamFormat::kV2, &error)) {
-      std::fprintf(stderr, "bench: cannot write %s: %s\n", path.c_str(),
-                   error.c_str());
-      std::abort();
-    }
-    return path;
-  }();
-  static const std::string v3 = [] {
+/// The shared stream written once, replayed by every BM_FileReplay row.
+const std::string& ReplayPath() {
+  static const std::string path = [] {
     std::string path = "/tmp/setcover_bench_replay_v3.bin";
     std::string error;
     if (!WriteStreamFile(SharedStream(), path, StreamFormat::kV3, &error)) {
@@ -468,7 +449,7 @@ const std::string& ReplayPath(StreamFormat format) {
     }
     return path;
   }();
-  return format == StreamFormat::kV3 ? v3 : v2;
+  return path;
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -486,9 +467,8 @@ uint64_t FileBytes(const std::string& path) {
 void BM_FileReplay(benchmark::State& state) {
   const ReplayConfig& config = kReplayConfigs[state.range(0)];
   const EdgeStream& stream = SharedStream();
-  const std::string& path = ReplayPath(config.format);
+  const std::string& path = ReplayPath();
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
 
   for (auto _ : state) {
@@ -513,7 +493,7 @@ void BM_FileReplay(benchmark::State& state) {
 }
 
 BENCHMARK(BM_FileReplay)
-    ->DenseRange(0, 4)
+    ->DenseRange(0, 1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()  // the prefetch worker carries part of the load
     ->MinTime(0.5);

@@ -3,9 +3,10 @@
 // and replay it through two algorithms without ever materializing it in
 // memory again — the deployment shape of a real one-pass system, where
 // the stream source is a log or a message queue rather than a vector.
-// Replay goes through engine::Execute with a file source and the
-// default read pipeline (mmap + background prefetch decoder); pass
-// StreamReadOptions to SourceSpec::File to turn either off.
+// Replay goes through engine::Execute with a file source and the one
+// read path: the v3 file read from a memory mapping, decoded by the
+// background prefetch decoder (pass StreamReadOptions{.prefetch =
+// false} to SourceSpec::File to decode on the calling thread).
 //
 //   $ ./build/examples/file_stream [work_dir]
 

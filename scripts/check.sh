@@ -48,7 +48,9 @@
 # (fork / waitpid / execve) appears nowhere: every run is in-process,
 # and no code in src/ or tools/ pulls edges one record at a time
 # (Next(Edge*) / Next(&...)): every source is pulled through
-# EdgeSource::NextBatch.
+# EdgeSource::NextBatch. rename( appears only in the one atomic writer
+# (src/util/atomic_file.cc), and nothing under src/stream/ reads files
+# through stdio (fopen / fread / fseek): stream files are mapped.
 #
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
@@ -159,6 +161,27 @@ if [[ -n "$NEXT_HITS" ]]; then
   echo "layering guard: per-record Next() pull in src/ or tools/;"
   echo "pull spans through EdgeSource::NextBatch (stream/edge_source.h)"
   echo "and let engine::Drive cut them"
+  exit 1
+fi
+# Every tmp + rename write goes through the one writer in
+# util/atomic_file.cc (stream files, checkpoints, session manifests), so
+# the crash-consistency discipline lives in one reviewed place.
+RENAME_HITS=$(grep -rnE '\brename\(' src/ tools/ examples/ \
+  | grep -v '^src/util/atomic_file\.cc:' || true)
+if [[ -n "$RENAME_HITS" ]]; then
+  echo "$RENAME_HITS"
+  echo "layering guard: rename( outside src/util/atomic_file.cc;"
+  echo "write files through WriteFileAtomically (util/atomic_file.h)"
+  exit 1
+fi
+# Stream files are read through MmapFile and written through the
+# atomic writer: no stdio read path grows back under src/stream/.
+STDIO_HITS=$(grep -rnE '\b(fopen|fread|fseek)\b' src/stream/ || true)
+if [[ -n "$STDIO_HITS" ]]; then
+  echo "$STDIO_HITS"
+  echo "layering guard: stdio file reads under src/stream/;"
+  echo "read stream files through MmapFile (stream/mmap_file.h) and write"
+  echo "them through WriteFileAtomically (util/atomic_file.h)"
   exit 1
 fi
 echo "layering guard: clean"
@@ -361,10 +384,11 @@ EOF
   build-asan/tests/simd_kernel_test
   build-asan/tests/simd_dispatch_test
   SETCOVER_SIMD_LEVEL=scalar build-asan/tests/batch_equivalence_test
-  # CRC-valid hostile stream-file bodies: the v3 varint kernel against
-  # the scalar tier on over-long, non-canonical, out-of-range and cut
-  # payloads (its 16-byte windows read near the payload's end), and the
-  # out-of-range-id repro through every algorithm and format.
+  # CRC-valid hostile stream files: the v3 varint kernel against the
+  # scalar tier on over-long, non-canonical, out-of-range and cut
+  # payloads (its 16-byte windows read near the payload's end), hostile
+  # header N and chunk-index offsets, v1/v2 headers, and the
+  # out-of-range-id repro through every algorithm.
   build-asan/tests/hostile_payload_test
 
   echo "== bench smoke: thread pool + multi-run-over-engine + prefetch decoder + session server + transports under TSan (build-tsan/) =="

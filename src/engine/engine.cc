@@ -28,8 +28,8 @@ using internal::Seconds;
 
 /// The config checks Execute() performs before building any pipeline:
 /// a known algorithm — at W > 1 a shardable registry name, never an
-/// instance — a well-formed source, a valid schedule, and no
-/// checkpointing of windowed schedules. False with *error set.
+/// instance — a well-formed source and a valid schedule. False with
+/// *error set.
 bool ValidateRunConfig(const RunConfig& config, uint32_t workers,
                        std::string* error) {
   if (workers > 1 && config.algorithm_instance != nullptr) {
@@ -57,16 +57,7 @@ bool ValidateRunConfig(const RunConfig& config, uint32_t workers,
                    "file path; pick one";
     return false;
   }
-  if (!config.source.schedule.Validate(error)) return false;
-  const bool checkpointing =
-      !config.checkpoint.path.empty() && config.checkpoint.every > 0;
-  if (config.source.schedule.window > 0 &&
-      (checkpointing || config.checkpoint.resume)) {
-    *error = "windowed schedules are not checkpointable (the window "
-             "contents are not position-addressable)";
-    return false;
-  }
-  return true;
+  return config.source.schedule.Validate(error);
 }
 
 /// The simulated kill switch, as a layer: hands out the inner source's
@@ -248,10 +239,10 @@ RunReport Pull(const DriveOptions& options,
 ///
 /// with each layer present only when the config asks for it. The
 /// schedule sits under the injector so fault decisions key on
-/// scheduled positions and the stack stays deterministic (and, for
-/// pass schedules, checkpointable). The fault schedule is a pure
-/// function of (seed, position), so every shard sees the identical
-/// damaged stream and the filter surfaces its slice; W = 1 needs none.
+/// scheduled positions and the stack stays deterministic and
+/// checkpointable. The fault schedule is a pure function of (seed,
+/// position), so every shard sees the identical damaged stream and the
+/// filter surfaces its slice; W = 1 needs none.
 /// A nonzero `stop_position` is the kill point, in scheduled positions.
 RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
                    const std::optional<Checkpoint>& resume,

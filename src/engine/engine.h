@@ -50,19 +50,17 @@ namespace engine {
 /// algorithm.
 
 /// Where a run's edges come from. Exactly one of `stream` (an in-memory
-/// materialized stream) or `path` (a binary stream file, format v1/v2/
-/// v3 auto-detected) must be set; `read_options` tunes the file
-/// backends (mmap on/off, background prefetch decoding on/off).
+/// materialized stream) or `path` (a binary stream file, format v3, read
+/// from a mapping; v1 and v2 files are refused) must be set;
+/// `read_options` turns background prefetch decoding on or off.
 struct SourceSpec {
   const EdgeStream* stream = nullptr;
   std::string path;
   StreamReadOptions read_options;
 
   /// Stream schedule layered over the raw source: k repeated passes
-  /// (multi-pass algorithms), or a sliding-window replay feed
-  /// (duplicate-heavy arrival simulation). The default is the trivial
-  /// one-pass schedule; windowed schedules are not checkpointable. See
-  /// stream/schedule.h.
+  /// (multi-pass algorithms). The default is the trivial one-pass
+  /// schedule. See stream/schedule.h.
   ScheduleSpec schedule;
 
   static SourceSpec InMemory(const EdgeStream& stream) {

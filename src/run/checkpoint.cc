@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/atomic_file.h"
 #include "util/crc32.h"
 
 namespace setcover {
@@ -132,25 +133,12 @@ bool ParseCheckpointBody(ByteReader* in, Checkpoint* checkpoint) {
 bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
                      std::string* error) {
   AppendU32(bytes, Crc32(bytes->data() + 4, bytes->size() - 4));
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + tmp + " for writing";
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(bytes->data(), 1, bytes->size(), f) == bytes->size() &&
-      std::fflush(f) == 0;
-  // A failed close can lose buffered bytes: never rename its file into
-  // place.
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    if (error != nullptr) *error = "failed writing checkpoint " + path;
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(
+      path,
+      [bytes](std::FILE* f) {
+        return WriteBytes(f, bytes->data(), bytes->size());
+      },
+      error);
 }
 
 /// Loads `path` and verifies its header magic, its version (exactly

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/atomic_file.h"
+
 namespace setcover {
 namespace server {
 namespace {
@@ -11,29 +13,6 @@ namespace {
 /// Delay hint on the evicted-session kRetryAfter: recovery is one
 /// sidecar read away, so the client can come back almost immediately.
 constexpr uint64_t kEvictedRetryUs = 1000;
-
-/// Writes `bytes` to `path` atomically (tmp + rename), the same
-/// crash-safety discipline as SaveCheckpoint: a manifest is either the
-/// complete encoded kOpen frame or absent, never torn.
-bool WriteFileAtomic(const std::string& path,
-                     const std::vector<uint8_t>& bytes, std::string* error) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    if (error != nullptr) *error = "cannot write " + tmp;
-    return false;
-  }
-  const bool wrote =
-      bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), out) ==
-                           bytes.size();
-  if (std::fclose(out) != 0 || !wrote ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    if (error != nullptr) *error = "cannot persist " + path;
-    return false;
-  }
-  return true;
-}
 
 bool ReadFile(const std::string& path, std::vector<uint8_t>* bytes) {
   std::FILE* in = std::fopen(path.c_str(), "rb");
@@ -142,11 +121,20 @@ Message SessionManager::HandleOpen(const Message& request) {
   }
 
   // Fresh session. Persist the manifest before any state exists, so a
-  // crash at any later point can always rebuild the config.
+  // crash at any later point can always rebuild the config. The atomic
+  // writer leaves it the complete encoded kOpen frame or absent, never
+  // torn.
   if (!state_dir_.empty()) {
+    const std::vector<uint8_t> manifest = EncodeMessage(request);
     std::string error;
-    if (!WriteFileAtomic(ManifestPath(id), EncodeMessage(request), &error))
+    if (!WriteFileAtomically(
+            ManifestPath(id),
+            [&manifest](std::FILE* f) {
+              return WriteBytes(f, manifest.data(), manifest.size());
+            },
+            &error)) {
       return MakeError(id, error);
+    }
   }
   std::string error;
   auto entry = std::make_shared<Entry>();

@@ -2,15 +2,11 @@
 
 #include <cerrno>
 #include <cstring>
-#include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SETCOVER_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace setcover {
 namespace {
@@ -22,25 +18,6 @@ void SetError(std::string* error, const std::string& what) {
 }  // namespace
 
 MmapFile::~MmapFile() { Close(); }
-
-MmapFile::MmapFile(MmapFile&& other) noexcept
-    : data_(other.data_), size_(other.size_), open_(other.open_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.open_ = false;
-}
-
-MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
-  if (this != &other) {
-    Close();
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-    open_ = std::exchange(other.open_, false);
-  }
-  return *this;
-}
-
-#ifdef SETCOVER_HAVE_MMAP
 
 bool MmapFile::Open(const std::string& path, std::string* error) {
   Close();
@@ -59,7 +36,6 @@ bool MmapFile::Open(const std::string& path, std::string* error) {
   if (size == 0) {
     // mmap rejects zero-length mappings; an empty file is still "open".
     ::close(fd);
-    open_ = true;
     return true;
   }
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -73,7 +49,6 @@ bool MmapFile::Open(const std::string& path, std::string* error) {
   ::madvise(map, size, MADV_SEQUENTIAL);
   data_ = static_cast<const uint8_t*>(map);
   size_ = size;
-  open_ = true;
   return true;
 }
 
@@ -83,23 +58,6 @@ void MmapFile::Close() {
   }
   data_ = nullptr;
   size_ = 0;
-  open_ = false;
 }
-
-#else  // !SETCOVER_HAVE_MMAP
-
-bool MmapFile::Open(const std::string& path, std::string* error) {
-  (void)path;
-  SetError(error, "mmap is not supported on this platform");
-  return false;
-}
-
-void MmapFile::Close() {
-  data_ = nullptr;
-  size_ = 0;
-  open_ = false;
-}
-
-#endif  // SETCOVER_HAVE_MMAP
 
 }  // namespace setcover

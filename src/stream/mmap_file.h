@@ -7,12 +7,12 @@
 
 namespace setcover {
 
-/// Read-only memory mapping of a whole file — the zero-copy backend of
-/// StreamFileReader. On POSIX hosts the file's pages are mapped
-/// directly (the page cache is the buffer; nothing is copied until the
-/// reader dereferences it), so replaying a stream file costs no
-/// read()/memcpy per chunk. On hosts without mmap, Open() reports
-/// failure and callers fall back to the portable stdio reader.
+/// Read-only memory mapping of a whole file — how StreamFileReader
+/// reads every stream file. The file's pages are mapped directly (the
+/// page cache is the buffer; nothing is copied until the reader
+/// dereferences it), so replaying a stream file costs no read()/memcpy
+/// per chunk. There is no fallback: a file that cannot be mapped is an
+/// open error.
 ///
 /// The mapping is immutable and survives until Close()/destruction, so
 /// any number of threads may read through data() concurrently — the
@@ -25,26 +25,21 @@ class MmapFile {
 
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
-  MmapFile(MmapFile&& other) noexcept;
-  MmapFile& operator=(MmapFile&& other) noexcept;
 
   /// Maps `path` read-only. Returns false with an errno-derived message
   /// in *error (if non-null) when the file cannot be opened, stat'ed,
-  /// or mapped — including on platforms with no mmap support. A
-  /// zero-length file opens successfully with size() == 0.
+  /// or mapped. A zero-length file opens successfully with size() == 0.
   bool Open(const std::string& path, std::string* error);
 
   /// Unmaps; safe to call repeatedly.
   void Close();
 
-  bool IsOpen() const { return open_; }
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
 
  private:
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
-  bool open_ = false;
 };
 
 }  // namespace setcover

@@ -85,7 +85,12 @@ const StreamFileReader::DecodedChunk* PrefetchDecoder::AcquireChunk(
 bool PrefetchDecoder::FillBuffer() {
   const size_t chunk = edges_read_ / kChunkEdges;
   const StreamFileReader::DecodedChunk* decoded = AcquireChunk(chunk);
-  if (decoded == nullptr) return false;
+  if (decoded == nullptr) {
+    // Out of chunks before N edges: the stream ended early, exactly as
+    // the synchronous reader reports a chunk the file does not hold.
+    truncated_ = true;
+    return false;
+  }
   current_valid_ = true;
   if (decoded->checksum_failed) {
     checksum_failed_ = true;
@@ -131,7 +136,7 @@ bool PrefetchDecoder::SeekToEdge(size_t index) {
 std::unique_ptr<BatchEdgeReader> OpenBatchEdgeReader(
     const std::string& path, const StreamReadOptions& options,
     std::string* error) {
-  auto reader = StreamFileReader::Open(path, options, error);
+  auto reader = StreamFileReader::Open(path, error);
   if (reader == nullptr) return nullptr;
   if (!options.prefetch) return reader;
   return PrefetchDecoder::Create(std::move(reader));

@@ -37,7 +37,6 @@ class PrefetchDecoder : public BatchEdgeReader {
   PrefetchDecoder& operator=(const PrefetchDecoder&) = delete;
 
   const StreamMetadata& Meta() const override { return reader_->Meta(); }
-  uint32_t Version() const override { return reader_->Version(); }
   std::span<const Edge> NextBatch() override;
   bool SeekToEdge(size_t index) override;
   bool Truncated() const override { return truncated_; }
@@ -63,7 +62,7 @@ class PrefetchDecoder : public BatchEdgeReader {
 
   /// Returns the decoded chunk at index `chunk` (the consumer's next
   /// sequential chunk), blocking on the pipeline if the worker has not
-  /// produced it yet; nullptr when `chunk >= NumChunks()`.
+  /// produced it yet; nullptr when the pipeline holds no such chunk.
   const StreamFileReader::DecodedChunk* AcquireChunk(size_t chunk);
   bool FillBuffer();
 

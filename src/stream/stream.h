@@ -32,9 +32,9 @@ struct EdgeStream {
 
 /// True when every edge names a set below meta.num_sets and an element
 /// below meta.num_elements — the ids every algorithm sizes its per-set
-/// and per-element state by. Stream-file readers mark a chunk that
-/// breaks this damaged, and Session::Ingest refuses such a batch, so no
-/// algorithm ever indexes past its state.
+/// and per-element state by. The stream-file reader marks a chunk that
+/// breaks this damaged (checking ids as it decodes), and Session::Ingest
+/// refuses such a batch, so no algorithm ever indexes past its state.
 bool EdgesInRange(std::span<const Edge> edges, const StreamMetadata& meta);
 
 /// Lists all incidences of `instance` in canonical set-major order

@@ -1,7 +1,6 @@
 #ifndef SETCOVER_STREAM_STREAM_FILE_H_
 #define SETCOVER_STREAM_STREAM_FILE_H_
 
-#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,30 +12,15 @@
 
 namespace setcover {
 
-/// Binary on-disk edge-stream formats, so streams larger than memory
+/// The binary on-disk edge-stream format, so streams larger than memory
 /// can be produced once and replayed through any algorithm — the
 /// operating mode an actual deployment of these one-pass algorithms
-/// would use. Three format versions share the same magic/header
-/// envelope and are auto-detected by the reader; all integers are
-/// little-endian.
-///
-/// Common header:
-///   magic      "SCES"            (4 bytes)
-///   version    u32 = 1 | 2 | 3
-///   m          u32, n u32, N u64
-///   header_crc u32               CRC-32 of the 20 bytes above it
-///                                (absent in v1)
-///
-/// Format v2 — fixed-size CRC'd chunks:
-///   chunks     ⌈N / 4096⌉ chunks of up to 4096 edges each:
-///                count u32, payload_crc u32 (CRC-32),
-///                count × (set u32, elem u32)
-///   The fixed chunk capacity makes chunk offsets computable, so a
-///   reader can seek to any edge index without scanning, and the
-///   per-chunk CRC turns silent on-disk corruption into a detected,
-///   reported condition instead of garbage edges fed to an algorithm.
+/// would use. All integers are little-endian.
 ///
 /// Format v3 — delta-varint compressed chunks + offset index:
+///   header     magic "SCES" (4 bytes), version u32 = 3,
+///              m u32, n u32, N u64,
+///              header_crc u32   CRC-32 of the 20 bytes after the magic
 ///   chunks     ⌈N / 4096⌉ chunks of up to 4096 edges each:
 ///                count u32, payload_bytes u32,
 ///                payload_crc u32 (CRC-32C), payload
@@ -58,47 +42,34 @@ namespace setcover {
 ///   ChecksumFailed(), Truncated() — is the scalar reference's on every
 ///   input, hostile ones included (tests/hostile_payload_test.cc). A
 ///   payload is damaged when a varint is truncated or over 10 bytes,
-///   bytes are left after the last edge, or an id falls outside m × n.
+///   bytes are left after the last edge, or an id falls outside m × n
+///   (a set delta below 0 included). A damaged chunk is reported like a
+///   CRC failure, even when its CRC holds — ChecksumFailed(), none of
+///   its edges served — because every algorithm indexes its per-set and
+///   per-element state by id.
 ///
-/// Every format: a chunk naming a set ≥ m or an element ≥ n (a v3 set
-/// delta below 0 included) is damaged like a CRC failure, even when its
-/// CRC holds — ChecksumFailed(), none of its edges served — because
-/// every algorithm indexes its per-set and per-element state by id.
+/// Versions 1 and 2 (raw 8-byte edges, without and with CRC'd chunks)
+/// are refused at open with an error that names the version.
 ///
-/// Format v1 (legacy, still readable): the header without header_crc,
-/// followed by N raw edges with no checksums.
-///
-/// Writers stage into `path + ".tmp"` and atomically rename, so a
-/// crash mid-write never leaves a half-valid file at `path`. Writers
-/// fail (returning false with an errno-derived *error) on I/O errors;
-/// the reader validates the header and surfaces truncation/corruption
-/// via flags rather than crashing.
+/// The writer stages into `path + ".tmp"` and atomically renames
+/// (util/atomic_file.h), so a crash mid-write never leaves a half-valid
+/// file at `path`; it fails (returning false with an errno-derived
+/// *error) on I/O errors. The reader maps the file (stream/mmap_file.h),
+/// validates the header and surfaces truncation/corruption via flags
+/// rather than crashing.
 
-/// On-disk format selector for WriteStreamFile. kV1 exists for
-/// compatibility tests; new files should be kV3 (the CLI default).
-enum class StreamFormat : uint32_t { kV1 = 1, kV2 = 2, kV3 = 3 };
+/// On-disk format selector for WriteStreamFile.
+enum class StreamFormat : uint32_t { kV3 = 3 };
 
 /// Writes `stream` to `path` in the requested format. On failure
 /// returns false and, when `error` is non-null, stores an
-/// errno-derived message (e.g. "rename failed: No space left on
-/// device").
+/// errno-derived message (e.g. "write to s.bin.tmp failed: No space
+/// left on device").
 bool WriteStreamFile(const EdgeStream& stream, const std::string& path,
                      StreamFormat format, std::string* error);
 
-/// Legacy two-argument writer: format v2, errors reported only as
-/// `false` (byte layout relied on by existing corruption tests).
-inline bool WriteStreamFile(const EdgeStream& stream,
-                            const std::string& path) {
-  return WriteStreamFile(stream, path, StreamFormat::kV2, nullptr);
-}
-
 /// How to read a stream file back.
 struct StreamReadOptions {
-  /// Map the file and decode straight out of the page cache (zero-copy
-  /// for v1/v2 payloads). Falls back to the portable stdio reader when
-  /// the platform has no mmap or the mapping fails.
-  bool use_mmap = true;
-
   /// Decode and CRC-check chunks on a background pipeline thread, one
   /// pipeline unit ahead of the consumer (stream/prefetch_decoder.h).
   /// Honoured by OpenBatchEdgeReader / StreamFileSource (so by
@@ -115,9 +86,6 @@ class BatchEdgeReader {
   virtual ~BatchEdgeReader() = default;
 
   virtual const StreamMetadata& Meta() const = 0;
-
-  /// Format version of the open file (1, 2 or 3).
-  virtual uint32_t Version() const = 0;
 
   /// Returns the remainder of the current CRC-verified chunk (decoding
   /// the next chunk when the buffer is drained) and advances the
@@ -147,48 +115,35 @@ class BatchEdgeReader {
   virtual size_t EdgesRead() const = 0;
 };
 
-/// Incremental synchronous reader: opens the file, exposes the
-/// metadata, and yields edges chunk by chunk without materializing the
-/// stream. With the mmap backend, v1/v2 batches are served zero-copy
-/// straight out of the mapping.
+/// Incremental synchronous reader: maps the file, exposes the metadata,
+/// and yields edges chunk by chunk without materializing the stream.
 class StreamFileReader : public BatchEdgeReader {
  public:
-  /// Opens `path` with default options (mmap preferred). Returns
-  /// nullptr (and sets *error) on a missing file or malformed header
-  /// (bad magic, bad version, header CRC mismatch).
+  /// Maps `path`. Returns nullptr (and sets *error) on a file that
+  /// cannot be opened or mapped, or a malformed header (bad magic, a
+  /// version other than 3, header CRC mismatch).
   static std::unique_ptr<StreamFileReader> Open(const std::string& path,
                                                 std::string* error);
-  static std::unique_ptr<StreamFileReader> Open(
-      const std::string& path, const StreamReadOptions& options,
-      std::string* error);
 
-  ~StreamFileReader() override;
   StreamFileReader(const StreamFileReader&) = delete;
   StreamFileReader& operator=(const StreamFileReader&) = delete;
 
   const StreamMetadata& Meta() const override { return meta_; }
-  uint32_t Version() const override { return version_; }
   std::span<const Edge> NextBatch() override;
   bool SeekToEdge(size_t index) override;
   bool Truncated() const override { return truncated_; }
   bool ChecksumFailed() const override { return checksum_failed_; }
   size_t EdgesRead() const override { return edges_read_; }
 
-  /// True when the reader serves reads from a memory mapping rather
-  /// than stdio.
-  bool UsesMmap() const { return map_.IsOpen(); }
-
   /// Chunks the open file declares (⌈N / 4096⌉), whether or not they
   /// all survive on disk.
   size_t NumChunks() const;
 
-  /// One decoded chunk plus its damage report. `edges` aliases either
-  /// `storage` or, for zero-copy formats on the mmap backend, the
-  /// mapping itself; it stays valid until the DecodedChunk is reused
-  /// or the reader is destroyed.
+  /// One decoded chunk plus its damage report. `edges` aliases
+  /// `storage`; it stays valid until the DecodedChunk is reused or the
+  /// reader is destroyed.
   struct DecodedChunk {
     std::vector<Edge> storage;
-    std::vector<uint8_t> scratch;  // stdio-backend payload staging
     std::span<const Edge> edges;
     bool truncated = false;
     bool checksum_failed = false;
@@ -196,37 +151,32 @@ class StreamFileReader : public BatchEdgeReader {
 
   /// Decodes chunk `chunk` into *out (reusing its buffers); returns
   /// false only when `chunk >= NumChunks()`. Damage is reported in the
-  /// DecodedChunk, and a damaged chunk never exposes payload edges
-  /// (except v1, which has no checksums and surfaces the intact
-  /// prefix). Does not move the reader's cursor. With the mmap backend
-  /// this is safe to call from a thread other than the cursor's — the
-  /// contract the prefetch decoder is built on; the stdio backend must
-  /// only ever be driven by one thread at a time.
+  /// DecodedChunk, and a damaged chunk never exposes payload edges.
+  /// Does not move the reader's cursor, and only reads the immutable
+  /// mapping, so it is safe to call from a thread other than the
+  /// cursor's — the contract the prefetch decoder is built on.
   bool DecodeChunk(size_t chunk, DecodedChunk* out);
 
  private:
   StreamFileReader() = default;
   bool FillBuffer();
-  bool LoadV3Offsets(std::string* error);
-  bool ReadRaw(uint64_t offset, void* out, size_t bytes);
+  void LoadOffsets();
+  bool ReadRaw(uint64_t offset, void* out, size_t bytes) const;
 
   MmapFile map_;
-  std::FILE* file_ = nullptr;
-  uint64_t file_size_ = 0;
   StreamMetadata meta_;
-  uint32_t version_ = 0;
   size_t edges_read_ = 0;
   bool truncated_ = false;
   bool checksum_failed_ = false;
 
-  /// v3: absolute offset of each chunk that is physically locatable —
-  /// from the trailing index when its footer verifies, else from a
-  /// linear header scan (shorter than NumChunks() on truncated files).
-  std::vector<uint64_t> v3_offsets_;
-  /// v3: first byte past the chunk area (index start when the footer
+  /// Absolute offset of each chunk that is physically locatable — from
+  /// the trailing index when its footer verifies, else from a linear
+  /// header scan (shorter than NumChunks() on truncated files).
+  std::vector<uint64_t> offsets_;
+  /// First byte past the chunk area (index start when the footer
   /// verified, file size otherwise) — the bound chunk payloads must
   /// respect.
-  uint64_t v3_data_end_ = 0;
+  uint64_t data_end_ = 0;
 
   DecodedChunk current_;
   size_t current_pos_ = 0;

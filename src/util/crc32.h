@@ -7,8 +7,8 @@
 namespace setcover {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected), the checksum
-/// guarding the on-disk robustness formats: stream-file headers, v2
-/// chunks and run-supervisor checkpoints. Table-driven, slicing-by-8:
+/// guarding the on-disk robustness formats: stream-file headers and
+/// run-supervisor checkpoints. Table-driven, slicing-by-8:
 /// eight bytes per step through eight derived tables, in portable C++
 /// (no intrinsics), so every host computes the same values.
 ///

@@ -2,10 +2,9 @@
 // algorithm: (a) "inprocess" and "sharded" produce bit-identical
 // covers, certificates, and counters at W = 1; (b) the checkpoint
 // sidecars they write mid-run are byte-identical files at W = 1 (plain
-// SCKP), and a W = 3 run writes an SCSH sidecar. Plus: stream
-// schedules (multi-pass and sliding-window) as composable sources at
-// any name, the W > 1 Session push-side counterpart, name dispatch,
-// and the windowed-schedule checkpoint rejection.
+// SCKP), and a W = 3 run writes an SCSH sidecar. Plus: multi-pass
+// stream schedules as composable sources, the W > 1 Session push-side
+// counterpart, and name dispatch.
 
 #include <algorithm>
 #include <cstdint>
@@ -227,46 +226,6 @@ TEST(BackendMatrixTest, TwoPassFileScheduleKillAndResume) {
   ExpectSameSolution(resumed, expected, "2-pass resume");
   std::remove(path.c_str());
   std::remove(ckpt.c_str());
-}
-
-// Sliding-window schedules re-deliver recent records (duplicate-heavy
-// arrival): the run completes, delivers more edges than the stream
-// holds, still produces a valid certified cover of the instance, and
-// is deterministic — the same schedule twice gives the same solution.
-// (The cover may legitimately differ from the plain run: replays
-// change which set claims an element.)
-TEST(BackendMatrixTest, WindowScheduleDeliversReplaysAndStaysCorrect) {
-  Fixture fixture = MakePlantedFixture(441);
-  engine::RunConfig config = BaseConfig("kk", fixture.stream, "", 0);
-  config.source.schedule.window = 16;
-  config.source.schedule.replay_every = 64;
-  config.validate = &fixture.instance;
-  engine::RunReport report = engine::Execute(config);
-  ASSERT_TRUE(report.completed) << report.error;
-  EXPECT_GT(report.edges_delivered, fixture.stream.size());
-  EXPECT_TRUE(report.validation.ok) << report.validation.error;
-
-  engine::RunReport again = engine::Execute(config);
-  ASSERT_TRUE(again.completed) << again.error;
-  EXPECT_EQ(report.solution.cover, again.solution.cover);
-  EXPECT_EQ(report.solution.certificate, again.solution.certificate);
-  EXPECT_EQ(report.edges_delivered, again.edges_delivered);
-}
-
-// Windowed schedules are not checkpointable — replayed window contents
-// are not position-addressable — and the engine must say so, not
-// write a checkpoint that cannot resume.
-TEST(BackendMatrixTest, WindowScheduleRejectsCheckpointing) {
-  Fixture fixture = MakePlantedFixture(441);
-  engine::RunConfig config = BaseConfig("kk", fixture.stream, "", 0);
-  config.source.schedule.window = 16;
-  config.source.schedule.replay_every = 64;
-  config.checkpoint.path = TempPath("window.sckp");
-  config.checkpoint.every = 10;
-  engine::RunReport report = engine::Execute(config);
-  ASSERT_FALSE(report.completed);
-  EXPECT_NE(report.error.find("not checkpointable"), std::string::npos)
-      << report.error;
 }
 
 // The W > 1 Session — the push-side counterpart: ingesting the stream

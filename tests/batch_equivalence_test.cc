@@ -149,47 +149,38 @@ TEST_P(BatchEquivalence, SupervisedFaultyDeliveryMatchesPerEdge) {
 }
 
 // Replaying the same stream from disk must be bit-identical to the
-// in-memory run regardless of the file format it was stored in, which
-// backend read it, and whether the pipeline decoder was in front — the
-// contract that makes v3 + prefetch a pure performance change.
+// in-memory run whether the chunks decode on the calling thread or on
+// the prefetch decoder's — the contract that makes prefetch a pure
+// performance change.
 TEST_P(BatchEquivalence, FileReplayMatchesInMemoryAcrossFormats) {
   const EdgeStream& stream = TestStream();
   const Observed reference = RunPerEdge(GetParam(), stream);
 
-  for (StreamFormat format :
-       {StreamFormat::kV1, StreamFormat::kV2, StreamFormat::kV3}) {
-    // PID-qualified: the forced-SIMD-tier ctest matrix runs several
-    // instances of this binary concurrently on the same TempDir.
-    const std::string path = testing::TempDir() + "/bequiv_" +
-                             std::to_string(getpid()) + "_" + GetParam() +
-                             "_v" +
-                             std::to_string(uint32_t(format)) + ".bin";
-    std::string error;
-    ASSERT_TRUE(WriteStreamFile(stream, path, format, &error)) << error;
-    for (bool prefetch : {false, true}) {
-      for (bool use_mmap : {true, false}) {
-        StreamReadOptions options;
-        options.prefetch = prefetch;
-        options.use_mmap = use_mmap;
-        auto reader = OpenBatchEdgeReader(path, options, &error);
-        ASSERT_NE(reader, nullptr) << error;
-        auto algorithm = MakeAlgorithmByName(GetParam(), {});
-        algorithm->Begin(reader->Meta());
-        for (std::span<const Edge> batch = reader->NextBatch();
-             !batch.empty(); batch = reader->NextBatch()) {
-          algorithm->ProcessEdgeBatch(batch);
-        }
-        Observed observed;
-        Capture(*algorithm, &observed);
-        ExpectIdentical(reference, observed,
-                        GetParam() + " v" +
-                            std::to_string(uint32_t(format)) +
-                            (prefetch ? " prefetch" : " sync") +
-                            (use_mmap ? " mmap" : " stdio"));
-      }
+  // PID-qualified: the forced-SIMD-tier ctest matrix runs several
+  // instances of this binary concurrently on the same TempDir.
+  const std::string path = testing::TempDir() + "/bequiv_" +
+                           std::to_string(getpid()) + "_" + GetParam() +
+                           "_v3.bin";
+  std::string error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
+  for (bool prefetch : {false, true}) {
+    StreamReadOptions options;
+    options.prefetch = prefetch;
+    auto reader = OpenBatchEdgeReader(path, options, &error);
+    ASSERT_NE(reader, nullptr) << error;
+    auto algorithm = MakeAlgorithmByName(GetParam(), {});
+    algorithm->Begin(reader->Meta());
+    for (std::span<const Edge> batch = reader->NextBatch(); !batch.empty();
+         batch = reader->NextBatch()) {
+      algorithm->ProcessEdgeBatch(batch);
     }
-    std::remove(path.c_str());
+    Observed observed;
+    Capture(*algorithm, &observed);
+    ExpectIdentical(reference, observed,
+                    GetParam() + (prefetch ? " prefetch" : " sync"));
   }
+  std::remove(path.c_str());
 }
 
 std::string SafeName(const testing::TestParamInfo<std::string>& info) {

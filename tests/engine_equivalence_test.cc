@@ -92,8 +92,8 @@ TEST_P(EngineSweep, InMemoryExecuteMatchesRunStream) {
   }
 }
 
-// File sources — v2 synchronous and v3 with the background prefetch
-// decoder — must agree with RunStream over the same edges. (Peak words
+// File sources — v3 decoded synchronously and by the background
+// prefetch decoder — must agree with RunStream over the same edges. (Peak words
 // are compared only in NDEBUG builds: debug builds run RunStream's
 // first-batch equivalence spot-check, which the file fast path, like
 // the old RunStreamFromFile, never did.)
@@ -103,18 +103,17 @@ TEST_P(EngineSweep, FileExecuteMatchesRunStream) {
   CoverSolution expected = RunStream(*reference, fixture.stream);
 
   struct Variant {
-    StreamFormat format;
     bool prefetch;
     const char* tag;
   };
   for (const Variant& variant :
-       {Variant{StreamFormat::kV2, false, "v2_sync"},
-        Variant{StreamFormat::kV3, true, "v3_prefetch"}}) {
+       {Variant{false, "v3_sync"}, Variant{true, "v3_prefetch"}}) {
     const std::string context = GetParam() + " " + variant.tag;
     const std::string path =
         TempPath("file_" + GetParam() + "_" + variant.tag + ".bin");
     std::string error;
-    ASSERT_TRUE(WriteStreamFile(fixture.stream, path, variant.format, &error))
+    ASSERT_TRUE(
+        WriteStreamFile(fixture.stream, path, StreamFormat::kV3, &error))
         << context << ": " << error;
 
     StreamReadOptions read_options;

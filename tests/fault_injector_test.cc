@@ -314,25 +314,6 @@ TEST(ScheduledSourceTest, TwoPassScheduleMatchesAtEveryBatchSize) {
       Scheduled(stream, spec, FaultSchedule::AllKinds(13, 0.05)));
 }
 
-TEST(ScheduledSourceTest, WindowScheduleMatchesAtEveryBatchSize) {
-  EdgeStream stream = TestStream();
-  ScheduleSpec spec;
-  spec.window = 5;
-  spec.replay_every = 7;
-  const Trace trace = DrainAtEveryBatchSize(Scheduled(stream, spec));
-  // Every 7 fresh records, the last 5 come again.
-  EXPECT_EQ(trace.events.size(),
-            stream.size() + 5 * (stream.size() / 7) + 1);
-  bool saw_pending = false;
-  for (const Mark& mark : trace.marks) saw_pending |= std::get<2>(mark);
-  EXPECT_TRUE(saw_pending);
-
-  // The injector above a replaying schedule sees each replayed record
-  // at the schedule's unmoved position.
-  DrainAtEveryBatchSize(
-      Scheduled(stream, spec, FaultSchedule::AllKinds(17, 0.08)));
-}
-
 // The shard filter over a fault-injected source: every shard's drain
 // matches at every batch size, events held back behind a batch of
 // owned records included, and the shards' drains partition the

@@ -9,17 +9,24 @@
 // more, ids outside m × n, payloads that end early or late, payload
 // sizes around the 16-byte window, and a seeded mutation loop. Each
 // file is written with its CRCs re-stamped, so the hostile body gets
-// past the checksums. Last, every algorithm and format replays the
-// out-of-range repro through engine::Execute and must end degraded.
+// past the checksums. Then CRC-valid hostile headers and indexes: a
+// header N that disagrees with the chunks, index offsets that disagree
+// with them, and version 1 and 2 headers — the synchronous reader and
+// the prefetch decoder must agree on each, and every algorithm's
+// engine::Execute must end degraded or refuse the file. Last, every
+// algorithm replays the out-of-range repro through engine::Execute and
+// must end degraded.
 
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,10 +94,33 @@ std::vector<Edge> RandomEdges(Rng& rng, size_t count, uint32_t m,
   return edges;
 }
 
+/// A whole file as bytes.
+using FileBytes = std::vector<uint8_t>;
+
+FileBytes LoadFile(const std::string& path) {
+  FileBytes bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return bytes;
+  uint8_t buffer[4096];
+  size_t got;
+  while ((got = std::fread(buffer, 1, sizeof buffer, f)) > 0)
+    bytes.insert(bytes.end(), buffer, buffer + got);
+  std::fclose(f);
+  return bytes;
+}
+
+void SaveFile(const std::string& path, const FileBytes& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
 /// Writes `body` as a one-chunk v3 file, header, chunk and index CRCs
 /// all stamped over the bytes as given.
 std::string WriteV3(const Body& body, const std::string& tag) {
-  std::vector<uint8_t> file = {'S', 'C', 'E', 'S'};
+  FileBytes file = {'S', 'C', 'E', 'S'};
   auto put = [&file](const void* data, size_t bytes) {
     const auto* p = static_cast<const uint8_t*>(data);
     file.insert(file.end(), p, p + bytes);
@@ -121,11 +151,7 @@ std::string WriteV3(const Body& body, const std::string& tag) {
   put("SCIX", 4);
 
   const std::string path = TempPath(tag + ".v3");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return path;
-  EXPECT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
-  std::fclose(f);
+  SaveFile(path, file);
   return path;
 }
 
@@ -139,14 +165,11 @@ struct Replay {
 };
 
 /// Reads `path` whole with the given tier active.
-Replay ReadAt(const std::string& path, simd::Level level, bool use_mmap) {
+Replay ReadAt(const std::string& path, simd::Level level) {
   const simd::Level previous = simd::ForceLevelForTest(level);
-  StreamReadOptions options;
-  options.use_mmap = use_mmap;
-  options.prefetch = false;
   std::string error;
   Replay replay;
-  auto reader = StreamFileReader::Open(path, options, &error);
+  auto reader = StreamFileReader::Open(path, &error);
   EXPECT_NE(reader, nullptr) << error;
   if (reader != nullptr) {
     for (auto batch = reader->NextBatch(); !batch.empty();
@@ -180,12 +203,11 @@ std::optional<std::vector<Edge>> Reference(const Body& body) {
   return edges;
 }
 
-/// The file-level differential: every tier on both backends surfaces
-/// what the scalar tier surfaces, and the scalar tier surfaces the
-/// reference verdict.
+/// The file-level differential: every tier surfaces what the scalar
+/// tier surfaces, and the scalar tier surfaces the reference verdict.
 void ExpectEveryTierMatchesScalar(const Body& body, const std::string& tag) {
   const std::string path = WriteV3(body, tag);
-  const Replay scalar = ReadAt(path, simd::Level::kScalar, true);
+  const Replay scalar = ReadAt(path, simd::Level::kScalar);
   const std::optional<std::vector<Edge>> expected = Reference(body);
   EXPECT_FALSE(scalar.truncated) << tag;
   EXPECT_EQ(scalar.checksum_failed, !expected.has_value()) << tag;
@@ -195,11 +217,8 @@ void ExpectEveryTierMatchesScalar(const Body& body, const std::string& tag) {
     EXPECT_TRUE(scalar.edges.empty()) << tag;
   }
   for (simd::Level level : TestableLevels()) {
-    for (bool use_mmap : {true, false}) {
-      EXPECT_EQ(ReadAt(path, level, use_mmap), scalar)
-          << tag << " at " << simd::LevelName(level)
-          << (use_mmap ? " (mmap)" : " (stdio)");
-    }
+    EXPECT_EQ(ReadAt(path, level), scalar)
+        << tag << " at " << simd::LevelName(level);
   }
   std::remove(path.c_str());
 }
@@ -469,10 +488,280 @@ TEST(HostilePayload, SeededChunkMutationsMatchScalarAtEveryTier) {
   }
 }
 
+uint64_t GetU64(const FileBytes& file, size_t at) {
+  uint64_t value = 0;
+  std::memcpy(&value, file.data() + at, 8);
+  return value;
+}
+
+void PutU64(FileBytes* file, size_t at, uint64_t value) {
+  std::memcpy(file->data() + at, &value, 8);
+}
+
+// v3 layout: the header's N at byte 16 and its CRC-32 (of bytes 4..24)
+// at byte 24; the footer's index CRC-32C 16 bytes from the end, and the
+// index offset 12 bytes from the end.
+constexpr size_t kHeaderN = 16;
+
+size_t IndexOffset(const FileBytes& file) {
+  return size_t(GetU64(file, file.size() - 12));
+}
+
+/// Re-stamps the header CRC-32 and the index CRC-32C over whatever the
+/// case wrote, so the edit gets past both checksums.
+void Restamp(FileBytes* file) {
+  const uint32_t header_crc = Crc32(file->data() + 4, 20);
+  std::memcpy(file->data() + 24, &header_crc, 4);
+  const size_t index = IndexOffset(*file);
+  const uint32_t index_crc =
+      Crc32c(file->data() + index, file->size() - 16 - index);
+  std::memcpy(file->data() + file->size() - 16, &index_crc, 4);
+}
+
+/// A version 1 (raw edges, no checksums) or version 2 (header CRC, then
+/// one count + CRC-32 + raw-edge chunk) file.
+FileBytes OldFormat(uint32_t version, const std::vector<Edge>& edges,
+                    uint32_t m, uint32_t n) {
+  FileBytes file = {'S', 'C', 'E', 'S'};
+  auto put = [&file](const void* data, size_t bytes) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    file.insert(file.end(), p, p + bytes);
+  };
+  const uint64_t big_n = edges.size();
+  put(&version, 4);
+  put(&m, 4);
+  put(&n, 4);
+  put(&big_n, 8);
+  const size_t payload_bytes = edges.size() * sizeof(Edge);
+  if (version == 2) {
+    const uint32_t header_crc = Crc32(file.data() + 4, 20);
+    put(&header_crc, 4);
+    const uint32_t count = uint32_t(edges.size());
+    const uint32_t payload_crc = Crc32(edges.data(), payload_bytes);
+    put(&count, 4);
+    put(&payload_crc, 4);
+  }
+  put(edges.data(), payload_bytes);
+  return file;
+}
+
+/// What a CRC-valid hostile file must do: be refused at open, end every
+/// run degraded, or — when only the index is bad and the header scan
+/// recovers every chunk — replay the written stream intact.
+enum class Verdict { kRefused, kDegraded, kIntact };
+
+struct HostileFile {
+  HostileFile(std::string name, Verdict verdict,
+              std::function<FileBytes()> make, std::string refusal = "")
+      : name(std::move(name)),
+        verdict(verdict),
+        make(std::move(make)),
+        refusal(std::move(refusal)) {}
+
+  std::string name;
+  Verdict verdict;
+  /// Builds the file's bytes, CRCs re-stamped after the hostile edit.
+  std::function<FileBytes()> make;
+  /// For kRefused: text the open error must contain.
+  std::string refusal;
+};
+
+void PrintTo(const HostileFile& file, std::ostream* os) { *os << file.name; }
+
+/// 4096 + 4096 + 1808 edges with m = 64, n = 32.
+const EdgeStream& ThreeChunkStream() {
+  static const EdgeStream stream = [] {
+    Rng rng(2206);
+    EdgeStream built;
+    built.meta = {64, 32, 10000};
+    built.edges = RandomEdges(rng, 10000, 64, 32);
+    return built;
+  }();
+  return stream;
+}
+
+/// The bytes WriteStreamFile writes for `stream`.
+FileBytes V3Bytes(const EdgeStream& stream) {
+  const std::string path = TempPath("clean.v3");
+  std::string error;
+  EXPECT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
+  FileBytes bytes = LoadFile(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// `stream`'s file with `edit` applied and both CRCs re-stamped.
+std::function<FileBytes()> Edited(std::function<void(FileBytes*)> edit,
+                                  const EdgeStream& stream =
+                                      ThreeChunkStream()) {
+  return [edit, &stream] {
+    FileBytes file = V3Bytes(stream);
+    edit(&file);
+    Restamp(&file);
+    return file;
+  };
+}
+
+std::function<void(FileBytes*)> HeaderN(uint64_t (*n)(uint64_t)) {
+  return [n](FileBytes* file) {
+    PutU64(file, kHeaderN, n(GetU64(*file, kHeaderN)));
+  };
+}
+
+std::vector<HostileFile> HostileFiles() {
+  std::vector<HostileFile> files;
+  // A header N larger than the chunks hold: the last chunk's count
+  // disagrees, or N asks for a chunk the file does not hold (and sizes
+  // an index the footer does not match).
+  files.push_back({"n_one_more", Verdict::kDegraded,
+                   Edited(HeaderN([](uint64_t n) { return n + 1; }))});
+  files.push_back({"n_a_chunk_more", Verdict::kDegraded,
+                   Edited(HeaderN([](uint64_t n) { return n + 4096; }))});
+  // N = 2^64 − 1: the chunk count must not wrap to 0. On a one-edge
+  // file, whose one chunk holds fewer edges than N's first chunk, too.
+  files.push_back(
+      {"n_two_to_64_minus_1", Verdict::kDegraded,
+       Edited(HeaderN([](uint64_t) { return ~uint64_t{0}; }))});
+  static const EdgeStream one_edge{{64, 32, 1}, {{5, 7}}};
+  files.push_back(
+      {"one_edge_n_two_to_64_minus_1", Verdict::kDegraded,
+       Edited(HeaderN([](uint64_t) { return ~uint64_t{0}; }), one_edge)});
+  // A header N smaller than the chunks hold.
+  files.push_back({"n_one_less", Verdict::kDegraded,
+                   Edited(HeaderN([](uint64_t n) { return n - 1; }))});
+  files.push_back({"n_of_one", Verdict::kDegraded,
+                   Edited(HeaderN([](uint64_t) { return uint64_t{1}; }))});
+  // Index offsets that disagree with the chunks: chunk 1 placed inside
+  // chunk 0's payload; chunk 1 placed on chunk 2 (skipping chunk 1) and
+  // chunk 2 inside its payload; chunk 2 on the index itself, which the
+  // reader's sanity check refuses, so the header scan takes over.
+  files.push_back({"index_inside_a_payload", Verdict::kDegraded,
+                   Edited([](FileBytes* file) {
+                     const size_t index = IndexOffset(*file);
+                     PutU64(file, index + 8, GetU64(*file, index) + 12 + 40);
+                   })});
+  files.push_back({"index_skips_a_chunk", Verdict::kDegraded,
+                   Edited([](FileBytes* file) {
+                     const size_t index = IndexOffset(*file);
+                     const uint64_t chunk2 = GetU64(*file, index + 16);
+                     PutU64(file, index + 8, chunk2);
+                     PutU64(file, index + 16, chunk2 + 12 + 40);
+                   })});
+  files.push_back({"index_on_the_index", Verdict::kIntact,
+                   Edited([](FileBytes* file) {
+                     const size_t index = IndexOffset(*file);
+                     PutU64(file, index + 16, index);
+                   })});
+  // Versions 1 and 2 are refused by version, whatever follows.
+  for (const uint32_t version : {1u, 2u}) {
+    files.push_back({"version_" + std::to_string(version), Verdict::kRefused,
+                     [version] {
+                       const std::vector<Edge> edges(
+                           ThreeChunkStream().edges.begin(),
+                           ThreeChunkStream().edges.begin() + 100);
+                       return OldFormat(version, edges, 64, 32);
+                     },
+                     "version " + std::to_string(version)});
+  }
+  return files;
+}
+
+class HostileHeader : public testing::TestWithParam<HostileFile> {};
+
+/// Reads `path` whole through OpenBatchEdgeReader; nullopt when the
+/// open is refused, with the error in *error.
+std::optional<Replay> ReadWith(const std::string& path, bool prefetch,
+                               StreamMetadata* meta, std::string* error) {
+  StreamReadOptions options;
+  options.prefetch = prefetch;
+  auto reader = OpenBatchEdgeReader(path, options, error);
+  if (reader == nullptr) return std::nullopt;
+  *meta = reader->Meta();
+  Replay replay;
+  for (auto batch = reader->NextBatch(); !batch.empty();
+       batch = reader->NextBatch()) {
+    replay.edges.insert(replay.edges.end(), batch.begin(), batch.end());
+  }
+  replay.checksum_failed = reader->ChecksumFailed();
+  replay.truncated = reader->Truncated();
+  return replay;
+}
+
+TEST_P(HostileHeader, ReadersAgreeAndEveryRunDegradesOrRefuses) {
+  const HostileFile& hostile = GetParam();
+  const std::string path = TempPath(hostile.name + ".v3");
+  SaveFile(path, hostile.make());
+
+  // The synchronous reader and the prefetch decoder: the same verdict,
+  // edges and flags, and no id outside m × n.
+  StreamMetadata sync_meta, prefetch_meta;
+  std::string sync_error, prefetch_error;
+  const std::optional<Replay> sync =
+      ReadWith(path, false, &sync_meta, &sync_error);
+  const std::optional<Replay> prefetch =
+      ReadWith(path, true, &prefetch_meta, &prefetch_error);
+  ASSERT_EQ(sync.has_value(), prefetch.has_value());
+  if (hostile.verdict == Verdict::kRefused) {
+    ASSERT_FALSE(sync.has_value());
+    EXPECT_NE(sync_error.find(hostile.refusal), std::string::npos)
+        << sync_error;
+    EXPECT_EQ(prefetch_error, sync_error);
+  } else {
+    ASSERT_TRUE(sync.has_value()) << sync_error;
+    EXPECT_EQ(*prefetch, *sync);
+    EXPECT_TRUE(EdgesInRange(sync->edges, sync_meta));
+    const bool damaged = sync->checksum_failed || sync->truncated;
+    EXPECT_EQ(damaged, hostile.verdict == Verdict::kDegraded);
+    if (hostile.verdict == Verdict::kIntact) {
+      EXPECT_EQ(sync->edges, ThreeChunkStream().edges);
+    }
+  }
+
+  // Every algorithm, both decoders: degraded, refused, or (only when
+  // the readers recovered the whole stream) complete.
+  for (const std::string& algorithm : RegisteredAlgorithmNames()) {
+    for (const bool use_prefetch : {false, true}) {
+      StreamReadOptions options;
+      options.prefetch = use_prefetch;
+      engine::RunConfig config;
+      config.algorithm = algorithm;
+      config.options.seed = 5;
+      config.source = engine::SourceSpec::File(path, options);
+      const engine::RunReport report = engine::Execute(config);
+      const std::string context =
+          algorithm + (use_prefetch ? " prefetch" : " sync");
+      switch (hostile.verdict) {
+        case Verdict::kRefused:
+          EXPECT_FALSE(report.completed) << context;
+          EXPECT_FALSE(report.error.empty()) << context;
+          break;
+        case Verdict::kDegraded:
+          ASSERT_TRUE(report.completed) << context << ": " << report.error;
+          EXPECT_TRUE(report.degraded) << context;
+          break;
+        case Verdict::kIntact:
+          ASSERT_TRUE(report.completed) << context << ": " << report.error;
+          EXPECT_FALSE(report.degraded) << context;
+          EXPECT_EQ(report.edges_delivered, ThreeChunkStream().size())
+              << context;
+          break;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CrcValid, HostileHeader, testing::ValuesIn(HostileFiles()),
+    [](const testing::TestParamInfo<HostileFile>& info) {
+      return info.param.name;
+    });
+
 // The out-of-range repro — a CRC-valid 64-edge file with m = n = 16 and
-// ids of 5000 and above — through engine::Execute for every algorithm
-// and format: the run ends degraded with one corrupt record and no
-// edge delivered, instead of an algorithm indexing past its state.
+// ids of 5000 and above — through engine::Execute for every algorithm:
+// the run ends degraded with one corrupt record and no edge delivered,
+// instead of an algorithm indexing past its state.
 class OutOfRangeReplay
     : public testing::TestWithParam<std::tuple<std::string, StreamFormat>> {};
 
@@ -498,11 +787,12 @@ TEST_P(OutOfRangeReplay, EndsDegradedWithOneCorruptRecord) {
   std::remove(path.c_str());
 }
 
+// v3 is the only format; the format stays a parameter so the cases keep
+// their names.
 INSTANTIATE_TEST_SUITE_P(
     EveryAlgorithmAndFormat, OutOfRangeReplay,
     testing::Combine(testing::ValuesIn(RegisteredAlgorithmNames()),
-                     testing::Values(StreamFormat::kV1, StreamFormat::kV2,
-                                     StreamFormat::kV3)),
+                     testing::Values(StreamFormat::kV3)),
     [](const testing::TestParamInfo<OutOfRangeReplay::ParamType>& info) {
       std::string name = std::get<0>(info.param) + "_v" +
                          std::to_string(uint32_t(std::get<1>(info.param)));

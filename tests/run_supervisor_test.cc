@@ -201,13 +201,14 @@ TEST(RunSupervisorTest, KillAndResumeOverAnOnDiskStreamFile) {
   p.max_set_size = 5;
   auto inst = GenerateUniformRandom(p, rng);
   auto stream = RandomOrderStream(inst, rng);
-  ASSERT_GT(stream.size(), size_t{4096}) << "want multiple v2 chunks";
+  ASSERT_GT(stream.size(), size_t{4096}) << "want multiple chunks";
 
   const std::string stream_path = testing::TempDir() + "supervisor.sces";
   const std::string ckpt_path = CheckpointPath("on_disk");
-  ASSERT_TRUE(WriteStreamFile(stream, stream_path));
-
   std::string error;
+  ASSERT_TRUE(WriteStreamFile(stream, stream_path, StreamFormat::kV3, &error))
+      << error;
+
   auto reference_source = StreamFileSource::Open(stream_path, &error);
   ASSERT_NE(reference_source, nullptr) << error;
   auto reference = MakeAlgorithmByName("random-order", {.seed = 31});
@@ -244,9 +245,9 @@ TEST(RunSupervisorTest, KillAndResumeOverAnOnDiskStreamFile) {
 
 TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
   // The checkpoint coordinate is an edge index, so a run checkpointed
-  // over one file format must resume identically over any other — and
-  // the prefetch pipeline (whose seeks restart a worker thread) must
-  // not perturb it either.
+  // with one decoder must resume identically with the other — and the
+  // prefetch pipeline (whose seeks restart a worker thread) must not
+  // perturb it either.
   Rng rng(61);
   UniformRandomParams p;
   p.num_elements = 200;
@@ -266,31 +267,28 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
     ASSERT_TRUE(expected.completed) << expected.error;
   }
 
-  for (StreamFormat format :
-       {StreamFormat::kV1, StreamFormat::kV2, StreamFormat::kV3}) {
-    for (bool prefetch : {false, true}) {
-      // Appended, not "v" + std::string: that trips a false -Wrestrict
-      // in GCC 12's optimized builds.
-      std::string label = "v";
-      label += std::to_string(uint32_t(format));
-      label += prefetch ? "+prefetch" : "+sync";
-      const std::string stream_path =
-          testing::TempDir() + "formats_" + label + ".sces";
+  const std::string stream_path = testing::TempDir() + "formats_v3.sces";
+  ASSERT_TRUE(WriteStreamFile(stream, stream_path, StreamFormat::kV3, &error))
+      << error;
+  for (bool kill_prefetch : {false, true}) {
+    for (bool resume_prefetch : {false, true}) {
+      std::string label = kill_prefetch ? "prefetch" : "sync";
+      label += resume_prefetch ? "+prefetch" : "+sync";
       const std::string ckpt_path = CheckpointPath(("fmt_" + label).c_str());
-      ASSERT_TRUE(WriteStreamFile(stream, stream_path, format, &error))
-          << error;
-      StreamReadOptions read_options;
-      read_options.prefetch = prefetch;
+      StreamReadOptions kill_options;
+      kill_options.prefetch = kill_prefetch;
+      StreamReadOptions resume_options_read;
+      resume_options_read.prefetch = resume_prefetch;
 
       engine::RunReport killed = RunAndKill(
           "random-order", 31,
-          engine::SourceSpec::File(stream_path, read_options), std::nullopt,
+          engine::SourceSpec::File(stream_path, kill_options), std::nullopt,
           ckpt_path, 1000, 5500);
       ASSERT_FALSE(killed.completed) << label;
       ASSERT_GT(killed.checkpoints_written, 0u) << label;
 
       auto revived_source =
-          StreamFileSource::Open(stream_path, read_options, &error);
+          StreamFileSource::Open(stream_path, resume_options_read, &error);
       ASSERT_NE(revived_source, nullptr) << error;
       auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
       engine::DriveOptions resume_options;
@@ -306,10 +304,10 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
       EXPECT_EQ(resumed.solution.certificate, expected.solution.certificate)
           << label;
       EXPECT_EQ(resumed.edges_delivered, expected.edges_delivered) << label;
-      std::remove(stream_path.c_str());
       std::remove(ckpt_path.c_str());
     }
   }
+  std::remove(stream_path.c_str());
 }
 
 TEST(RunSupervisorTest, ChecksumFailedChunkDegradesTheRun) {
@@ -327,16 +325,22 @@ TEST(RunSupervisorTest, ChecksumFailedChunkDegradesTheRun) {
   ASSERT_GT(stream.size(), size_t{4096});
 
   const std::string path = testing::TempDir() + "degraded.sces";
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  std::string error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 28 + 8 + 4096 * 8 + 8 + 100, SEEK_SET);  // chunk 1 payload
+  // Chunk 1 starts after the 28-byte header and chunk 0, whose 12-byte
+  // header holds its payload size at +4.
+  uint32_t chunk0_payload = 0;
+  std::fseek(f, 28 + 4, SEEK_SET);
+  ASSERT_EQ(std::fread(&chunk0_payload, 4, 1, f), 1u);
+  std::fseek(f, 28 + 12 + long(chunk0_payload) + 12 + 100, SEEK_SET);
   int c = std::fgetc(f);
   std::fseek(f, -1, SEEK_CUR);
   std::fputc(c ^ 0x10, f);
   std::fclose(f);
 
-  std::string error;
   auto source = StreamFileSource::Open(path, &error);
   ASSERT_NE(source, nullptr) << error;
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});

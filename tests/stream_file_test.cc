@@ -31,10 +31,31 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+bool Write(const EdgeStream& stream, const std::string& path) {
+  std::string error;
+  const bool ok = WriteStreamFile(stream, path, StreamFormat::kV3, &error);
+  EXPECT_TRUE(ok) << error;
+  return ok;
+}
+
+/// Bytes of the header, and of each chunk's header (count, payload
+/// bytes, payload CRC), in format v3.
+constexpr long kHeaderBytes = 28;
+constexpr long kChunkHeaderBytes = 12;
+
+long FileSize(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return -1;
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fclose(f);
+  return size;
+}
+
 TEST(StreamFileTest, RoundTrip) {
   auto stream = TestStream(1);
   std::string path = TempPath("roundtrip.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
 
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
@@ -57,7 +78,7 @@ TEST(StreamFileTest, EmptyStream) {
   EdgeStream stream;
   stream.meta = {5, 3, 0};
   std::string path = TempPath("empty.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -85,14 +106,10 @@ TEST(StreamFileTest, RejectsBadMagic) {
 TEST(StreamFileTest, DetectsTruncation) {
   auto stream = TestStream(2);
   std::string path = TempPath("truncated.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
-  // Chop off the last 12 bytes.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), size - 12), 0);
+  ASSERT_TRUE(Write(stream, path));
+  // Chop off the index, its footer and the last 12 payload bytes.
+  const long chunks = long((stream.size() + 4095) / 4096);
+  ASSERT_EQ(truncate(path.c_str(), FileSize(path) - chunks * 8 - 16 - 12), 0);
 
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
@@ -111,7 +128,7 @@ TEST(StreamFileTest, RunAlgorithmFromFile) {
   auto inst = GeneratePlantedCover(params, rng);
   auto stream = RandomOrderStream(inst, rng);
   std::string path = TempPath("solve.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
 
   KkAlgorithm algorithm(7);
   engine::RunConfig config;
@@ -140,7 +157,7 @@ TEST(StreamFileTest, LargeStreamBuffersCorrectly) {
   ASSERT_GT(stream.size(), size_t{1} << 16);
 
   std::string path = TempPath("large.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -148,27 +165,34 @@ TEST(StreamFileTest, LargeStreamBuffersCorrectly) {
   EXPECT_EQ(count, stream.size());
 }
 
-TEST(StreamFileTest, WritesVersion2WithNoTempFileLeftBehind) {
+TEST(StreamFileTest, WritesVersion3WithNoTempFileLeftBehind) {
   auto stream = TestStream(5);
-  std::string path = TempPath("v2.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  std::string path = TempPath("v3.bin");
+  ASSERT_TRUE(Write(stream, path));
 
   std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr) << "atomic writer left its staging file";
   if (tmp != nullptr) std::fclose(tmp);
 
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  uint32_t version = 0;
+  ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+  ASSERT_EQ(std::fread(&version, sizeof version, 1, f), 1u);
+  std::fclose(f);
+  EXPECT_EQ(version, 3u);
+
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  EXPECT_EQ(reader->Version(), 2u);
 }
 
 TEST(StreamFileTest, RewriteReplacesAtomically) {
   auto first = TestStream(6);
   auto second = TestStream(7);
   std::string path = TempPath("rewrite.bin");
-  ASSERT_TRUE(WriteStreamFile(first, path));
-  ASSERT_TRUE(WriteStreamFile(second, path));
+  ASSERT_TRUE(Write(first, path));
+  ASSERT_TRUE(Write(second, path));
 
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
@@ -183,15 +207,16 @@ TEST(StreamFileTest, RewriteReplacesAtomically) {
 TEST(StreamFileTest, DetectsFlippedPayloadBitViaChunkChecksum) {
   auto stream = TestStream(8);
   std::string path = TempPath("bitflip.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
 
   // Flip one bit inside the first chunk's payload. The file length is
   // untouched, so only the CRC can notice.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 28 + 8 + 20, SEEK_SET);  // header + chunk header + 20
+  const long at = kHeaderBytes + kChunkHeaderBytes + 20;  // payload + 20
+  std::fseek(f, at, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 28 + 8 + 20, SEEK_SET);
+  std::fseek(f, at, SEEK_SET);
   std::fputc(c ^ 0x04, f);
   std::fclose(f);
 
@@ -206,14 +231,14 @@ TEST(StreamFileTest, DetectsFlippedPayloadBitViaChunkChecksum) {
 TEST(StreamFileTest, DetectsCorruptedChunkCountViaDeclaredLength) {
   auto stream = TestStream(9);
   std::string path = TempPath("badcount.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
 
   // Overwrite the first chunk's count field. The expected count is
   // derived from the header's N, so the lie is caught immediately
   // rather than desynchronizing every later chunk.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 28, SEEK_SET);
+  std::fseek(f, kHeaderBytes, SEEK_SET);
   uint32_t bogus = 7;
   ASSERT_EQ(std::fwrite(&bogus, sizeof bogus, 1, f), 1u);
   std::fclose(f);
@@ -229,7 +254,7 @@ TEST(StreamFileTest, DetectsCorruptedChunkCountViaDeclaredLength) {
 TEST(StreamFileTest, DetectsCorruptedHeaderViaHeaderChecksum) {
   auto stream = TestStream(10);
   std::string path = TempPath("badheader.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
 
   // Damage the m field without touching anything else.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -257,7 +282,7 @@ TEST(StreamFileTest, SeekToEdgeLandsExactly) {
   ASSERT_GT(stream.size(), size_t{3} * 4096);
 
   std::string path = TempPath("seek.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(Write(stream, path));
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -294,8 +319,7 @@ TEST(StreamFileTest, SourcePullsCutInsideChunks) {
   ASSERT_GT(stream.size(), size_t{3} * 4096);
   std::string path = TempPath("source_cuts.bin");
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
-      << error;
+  ASSERT_TRUE(Write(stream, path));
 
   for (const bool prefetch : {false, true}) {
     StreamReadOptions options;

@@ -6,11 +6,10 @@
 //             Creates an instance file (text format, instance/io.h).
 //
 //   stream    --instance instance.txt --order random|set-major|...
-//             --seed S --out stream.bin [--stream-format v1|v2|v3]
+//             --seed S --out stream.bin
 //             Materializes an ordered edge stream into the binary
-//             stream-file format (stream/stream_file.h). The default
-//             format v3 is delta-varint compressed; v2 writes raw CRC'd
-//             chunks, v1 the unchecksummed legacy layout.
+//             stream-file format v3 (stream/stream_file.h): delta-varint
+//             compressed, CRC'd chunks plus a seek index.
 //
 //   solve     --instance instance.txt [--algorithm kk] [--order random]
 //             [--seed S] [--alpha A] [--runs R] [--threads T]
@@ -26,24 +25,24 @@
 //
 //   solve-stream --stream stream.bin [--algorithm kk] [--seed S]
 //             [--threads T] [--shards W]
-//             [--passes P] [--window K --replay-every R]
-//             [--no-prefetch] [--no-mmap]
+//             [--passes P] [--no-prefetch]
 //             [--timings] [--checkpoint ckpt.sckp]
 //             [--checkpoint-every K] [--resume] [--stop-after K]
-//             Replays a binary stream file through the engine (no
-//             instance needed; validation is skipped since set contents
-//             are not known without the instance). With --checkpoint the
+//             Replays a v3 stream file through the engine, read from a
+//             memory mapping (no instance needed; validation is skipped
+//             since set contents are not known without the instance;
+//             v1 and v2 files are refused). With --checkpoint the
 //             run writes a CRC-guarded checkpoint every K edges;
 //             --resume restarts from the last valid checkpoint and
 //             replays only the tail, bit-identical to an uninterrupted
 //             run. --stop-after kills the run after K stream
 //             positions, at any --shards (for demonstrating/testing
 //             recovery; docs/robustness.md).
-//             --no-prefetch disables the background pipeline decoder
-//             and --no-mmap the zero-copy file mapping; both exist for
-//             benchmarking and debugging — results are bit-identical
-//             with any combination. --timings prints the engine's
-//             per-stage wall/CPU breakdown. --shards W runs the sharded
+//             --no-prefetch decodes on the calling thread instead of the
+//             background pipeline decoder, for benchmarking and
+//             debugging — results are bit-identical either way.
+//             --timings prints the engine's per-stage wall/CPU
+//             breakdown. --shards W runs the sharded
 //             mode: W workers each stream their set-partitioned slice
 //             of the same (mmap-shared) file and the covers merge via
 //             the deterministic protocol; with --checkpoint the W
@@ -53,9 +52,6 @@
 //             (each pass replays the identical record sequence);
 //             --algorithm=progressive-threshold runs the multi-pass
 //             progressive threshold greedy through the pass schedule.
-//             --window K --replay-every R layers a sliding-window
-//             replay feed (duplicate-heavy arrivals; incompatible with
-//             checkpointing).
 //
 //   compare   --instance instance.txt [--order random] [--seed S]
 //             Runs *every* registered algorithm on the same stream and
@@ -250,21 +246,7 @@ int CmdStream(const FlagSet& flags) {
   std::string path = flags.GetString("instance", "");
   std::string out = flags.GetString("out", "stream.bin");
   std::string order_name = flags.GetString("order", "random");
-  std::string format_name = flags.GetString("stream-format", "v3");
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  StreamFormat format;
-  if (format_name == "v1") {
-    format = StreamFormat::kV1;
-  } else if (format_name == "v2") {
-    format = StreamFormat::kV2;
-  } else if (format_name == "v3") {
-    format = StreamFormat::kV3;
-  } else {
-    std::fprintf(stderr, "unknown --stream-format=%s (v1|v2|v3)\n",
-                 format_name.c_str());
-    return 2;
-  }
 
   std::string error;
   auto instance = ReadInstanceFile(path, &error);
@@ -279,13 +261,13 @@ int CmdStream(const FlagSet& flags) {
   }
   Rng rng(seed);
   EdgeStream stream = OrderedStream(*instance, *order, rng);
-  if (!WriteStreamFile(stream, out, format, &error)) {
+  if (!WriteStreamFile(stream, out, StreamFormat::kV3, &error)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
                  error.c_str());
     return 1;
   }
-  std::printf("wrote %s: %zu edges in %s order (format %s)\n", out.c_str(),
-              stream.size(), order_name.c_str(), format_name.c_str());
+  std::printf("wrote %s: %zu edges in %s order (format v3)\n", out.c_str(),
+              stream.size(), order_name.c_str());
   return 0;
 }
 
@@ -432,8 +414,6 @@ int CmdSolveStream(const FlagSet& flags) {
   }
 
   const int64_t passes = flags.GetInt("passes", 1);
-  const int64_t window = flags.GetInt("window", 0);
-  const int64_t replay_every = flags.GetInt("replay-every", 0);
   if (passes < 1) {
     std::fprintf(stderr, "--passes must be >= 1\n");
     return 2;
@@ -457,12 +437,8 @@ int CmdSolveStream(const FlagSet& flags) {
 
   StreamReadOptions read_options;
   read_options.prefetch = !flags.GetBool("no-prefetch", false);
-  read_options.use_mmap = !flags.GetBool("no-mmap", false);
   config.source = engine::SourceSpec::File(path, read_options);
   config.source.schedule.passes = static_cast<uint32_t>(passes);
-  config.source.schedule.window = static_cast<uint32_t>(window);
-  config.source.schedule.replay_every =
-      static_cast<uint32_t>(replay_every);
 
   // The multi-pass adapter: feed P identical passes through the
   // one-pass pipeline and let the adapter re-derive the pass lifecycle
@@ -521,11 +497,6 @@ int CmdSolveStream(const FlagSet& flags) {
     } else {
       std::printf("passes:      %lld\n", static_cast<long long>(passes));
     }
-  }
-  if (window > 0) {
-    std::printf("window:      %lld (replay every %lld)\n",
-                static_cast<long long>(window),
-                static_cast<long long>(replay_every));
   }
   std::printf("cover size:  %zu\n", report.solution.cover.size());
   std::printf("witnessed:   %zu/%zu elements\n", witnessed,
