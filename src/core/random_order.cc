@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "util/math.h"
@@ -18,6 +19,14 @@ constexpr uint32_t kMaxAlgorithms = 24;
 constexpr uint32_t kMaxEpochs = 40;
 
 double Pow2(uint32_t e) { return std::ldexp(1.0, static_cast<int>(e)); }
+
+// double -> size_t for the N-derived lengths, saturating: a stream
+// header's N reaches 2^64 - 1, which is 2^64 as a double, and the plain
+// cast of that is undefined.
+size_t SaturatingSize(double x) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  return x >= kTwoTo64 ? SIZE_MAX : x > 0.0 ? size_t(x) : 0;
+}
 
 }  // namespace
 
@@ -137,23 +146,22 @@ void RandomOrderAlgorithm::Begin(const StreamMetadata& meta) {
   // constant stream fraction (Lemma 2 part 1 needs |I| <= 0.001·N; we
   // use the parameterized cap).
   double e0 = params_.sampling_constant * sqrt_n * big_n * log2m / m;
-  epoch0_length_ = static_cast<size_t>(
-      std::min(e0, params_.epoch0_fraction_cap * big_n));
+  epoch0_length_ =
+      SaturatingSize(std::min(e0, params_.epoch0_fraction_cap * big_n));
 
   // Subepoch lengths ℓ_i.
   subepoch_length_.assign(num_algorithms_ + 1, 0);
   if (params_.paper_faithful) {
     for (uint32_t i = 1; i <= num_algorithms_; ++i) {
-      subepoch_length_[i] = static_cast<size_t>(
-          std::max(1.0, Pow2(i) * big_n / (n * log2m)));
+      subepoch_length_[i] =
+          SaturatingSize(std::max(1.0, Pow2(i) * big_n / (n * log2m)));
     }
     main_remaining_ = meta.stream_length;  // schedule self-limits
   } else {
-    main_remaining_ = static_cast<size_t>(params_.main_budget_fraction *
-                                          big_n);
+    main_remaining_ = SaturatingSize(params_.main_budget_fraction * big_n);
     double norm = Pow2(num_algorithms_ + 1) - 2.0;  // Σ 2^i
     for (uint32_t i = 1; i <= num_algorithms_; ++i) {
-      subepoch_length_[i] = static_cast<size_t>(std::max(
+      subepoch_length_[i] = SaturatingSize(std::max(
           1.0, double(main_remaining_) * Pow2(i) /
                    (norm * double(num_epochs_) * double(num_batches_))));
     }
@@ -165,8 +173,12 @@ void RandomOrderAlgorithm::Begin(const StreamMetadata& meta) {
   witness_.assign(meta.num_elements, kNoSet);
   if (params_.use_sketch_epoch0) {
     epoch0_degree_.clear();
-    size_t width = static_cast<size_t>(std::max(
-        64.0, params_.sketch_width_factor * big_n * sqrt_n / m));
+    // A set system has at most m·n incidences, so a header N past m·n
+    // cannot size the sketch: min(N, m·n) is N for every real stream.
+    const double incidences =
+        std::min(big_n, double(meta.num_sets) * double(meta.num_elements));
+    const size_t width = SaturatingSize(std::max(
+        64.0, params_.sketch_width_factor * incidences * sqrt_n / m));
     epoch0_sketch_ =
         std::make_unique<CountMinSketch>(width, /*depth=*/4, seed_ ^ 0x5c);
   } else {

@@ -109,14 +109,7 @@ RunReport Pull(const DriveOptions& options,
   RunReport& report = pump.report();
   const auto setup_start = Clock::now();
 
-  if (options.resume || options.resume_from != nullptr) {
-    std::optional<Checkpoint> loaded;
-    const Checkpoint* checkpoint = options.resume_from;
-    if (checkpoint == nullptr) {
-      loaded = LoadCheckpoint(options.checkpoint_path, &report.error);
-      if (!loaded) return std::move(report);
-      checkpoint = &*loaded;
-    }
+  if (const Checkpoint* checkpoint = options.resume_from) {
     if (!pump.Resume(source.Meta(), *checkpoint, &report.error)) {
       return std::move(report);
     }
@@ -130,8 +123,7 @@ RunReport Pull(const DriveOptions& options,
   report.stages.setup_seconds = Seconds(setup_start);
 
   const bool checkpointing =
-      (!options.checkpoint_path.empty() || options.checkpoint_sink) &&
-      options.checkpoint_every > 0;
+      options.checkpoint_sink && options.checkpoint_every > 0;
   const size_t batch_edges =
       options.batch_edges > 0 ? options.batch_edges : kIngestBatchEdges;
   ExponentialBackoff retry(options.backoff);
@@ -210,13 +202,8 @@ RunReport Pull(const DriveOptions& options,
     if (checkpointing &&
         report.edges_delivered % options.checkpoint_every == 0 &&
         !source.HasPendingReplay()) {
-      const Checkpoint checkpoint = pump.Snapshot(source.Position(), 0);
-      const bool saved =
-          options.checkpoint_sink
-              ? options.checkpoint_sink(checkpoint, &report.error)
-              : SaveCheckpoint(checkpoint, options.checkpoint_path,
-                               &report.error);
-      if (!saved) {
+      if (!options.checkpoint_sink(pump.Snapshot(source.Position(), 0),
+                                   &report.error)) {
         pump.StampMeter();
         return std::move(report);
       }
@@ -286,8 +273,7 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
   }
   std::optional<internal::ShardFilterSource> filtered;
   if (workers > 1) {
-    source = &filtered.emplace(source, shard, workers,
-                               config.backend.partitioner);
+    source = &filtered.emplace(source, shard, workers);
   }
 
   DriveOptions drive;
@@ -336,18 +322,16 @@ RunReport Execute(const RunConfig& config) {
 
   // Resume slots are copied out before the shards launch so each shard
   // reads its slot without racing the sinks; the aggregate writer owns
-  // the ONE sidecar (plain SCKP at W = 1, SCSH otherwise).
+  // the ONE sidecar, W slots wide.
   std::vector<std::optional<Checkpoint>> resume_slots(workers);
   if (config.checkpoint.resume &&
       !internal::LoadResumeSlots(config.checkpoint.path, workers,
-                                 config.backend.partitioner.name,
                                  &resume_slots, &report.error)) {
     return report;
   }
   std::optional<AggregateCheckpointWriter> writer;
   if (checkpointing) {
-    writer.emplace(config.checkpoint.path, workers,
-                   config.backend.partitioner.name, resume_slots);
+    writer.emplace(config.checkpoint.path, workers, resume_slots);
   }
   // stop_after counts stream positions from the run's start: the
   // earliest slot's resume position (a fresh shard starts at 0), the
@@ -373,16 +357,14 @@ RunReport Execute(const RunConfig& config) {
   if (workers == 1) {
     run_shard(0);
   } else {
-    // One independent pipeline per shard on the deterministic pool.
+    // One independent pipeline per shard, each on its own thread.
     // Shards share nothing but the read-only source bytes and the
-    // mutex-guarded aggregate checkpoint, so results are bit-identical
-    // at any thread count.
-    ThreadPool pool(config.backend.threads == 0 ? workers
-                                                : config.backend.threads);
+    // mutex-guarded aggregate checkpoint, so results do not depend on
+    // scheduling.
+    ThreadPool pool(workers);
     pool.RunIndexed(workers, run_shard);
   }
-  internal::AggregateShardReports(&report, shard_reports, workers,
-                                  config.backend.merge_threshold);
+  internal::AggregateShardReports(&report, shard_reports, workers);
 
   if (config.validate != nullptr && report.completed) {
     const auto validate_start = Clock::now();

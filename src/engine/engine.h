@@ -81,8 +81,8 @@ struct SourceSpec {
 /// file; a checkpoint is written every `every` delivered edges (at
 /// record boundaries only). With `resume`, the run restores from `path`
 /// instead of starting fresh — the checkpoint must load, CRC-verify,
-/// match the algorithm and stream shape, and decode; anything less is a
-/// fatal error, never a silent restart.
+/// have the run's W slots, match the algorithm and stream shape, and
+/// decode; anything less is a fatal error, never a silent restart.
 struct CheckpointSpec {
   std::string path;
   uint64_t every = 0;
@@ -158,8 +158,7 @@ struct RunReport {
   struct ShardStats {
     uint32_t shards = 0;
 
-    /// Threshold τ the merge ran threshold-greedy at (√(n·W) unless
-    /// overridden).
+    /// Threshold τ the merge ran threshold-greedy at: max(1, ⌊√(n·W)⌋).
     uint32_t merge_threshold = 0;
 
     /// Largest per-party message of the merge protocol, in words,
@@ -193,27 +192,20 @@ struct RunReport {
 
 /// Knobs of the pull loop.
 struct DriveOptions {
-  /// Sidecar checkpoint file; empty disables checkpointing.
-  std::string checkpoint_path;
-
-  /// Write a checkpoint every this many delivered edges (at record
-  /// boundaries only — never while the source holds pending replay
-  /// state). 0 disables periodic checkpoints even with a path set.
+  /// Hand a checkpoint to `checkpoint_sink` every this many delivered
+  /// edges (at record boundaries only — never while the source holds
+  /// pending replay state). 0, or no sink, disables checkpoints.
   uint64_t checkpoint_every = 0;
 
-  /// Resume from `checkpoint_path` instead of starting fresh.
-  bool resume = false;
-
-  /// Resume from this already-loaded checkpoint instead of reading
-  /// `checkpoint_path` (which may then be empty). Execute() uses this
-  /// to hand each shard its slot out of the aggregate "SCSH" file. Not
-  /// owned; must outlive the call. Implies `resume`.
+  /// Resume from this already-loaded checkpoint instead of starting
+  /// fresh. Execute() hands each shard its slot of the run's one
+  /// checkpoint file. Not owned; must outlive the call.
   const Checkpoint* resume_from = nullptr;
 
-  /// When set, replaces SaveCheckpoint as the destination of periodic
-  /// checkpoints — Execute() installs a sink that folds the shard's
-  /// snapshot into the aggregate file. Return false (with
-  /// *error) to fail the run like a checkpoint write failure.
+  /// The destination of periodic checkpoints — Execute() installs a
+  /// sink that folds the shard's snapshot into the run's one file.
+  /// Return false (with *error) to fail the run like a checkpoint write
+  /// failure.
   std::function<bool(const Checkpoint&, std::string*)> checkpoint_sink;
 
   /// Retry budget for transient read faults.
@@ -234,34 +226,21 @@ struct DriveOptions {
 
 /// The engine's one pull loop, and the low-level entry point: drives
 /// `algorithm` over a caller-assembled `source` to completion under
-/// full supervision — periodic CRC'd checkpoints, crash resume with
-/// bit-identical continuation, bounded retries on transient faults,
-/// skip-and-count on corrupt records, and graceful degradation to a
-/// certified partial cover when the stream cannot be fully consumed.
+/// full supervision — periodic checkpoints into the sink, resume from a
+/// loaded checkpoint with bit-identical continuation, bounded retries
+/// on transient faults, skip-and-count on corrupt records, and graceful
+/// degradation to a certified partial cover when the stream cannot be
+/// fully consumed. Checkpoint files are Execute()'s business; Drive()
+/// stays the seam for hand-built test sources.
 /// Each pull asks the source for at most the distance to the next cut
 /// (batch end, checkpoint position); a span that reaches the cut goes
 /// to the algorithm in place, with no copy.
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source);
 
-/// The partitioner seam: maps a set id to its owning shard in [0, W).
-/// Must be a pure function — it runs in every shard's hot loop and its
-/// verdicts must agree across shards and across resume. The name is
-/// recorded in sharded checkpoints; resuming under a different
-/// partitioner is refused.
-struct ShardPartitioner {
-  std::string name = "set-mod";
-  /// nullptr means the built-in set-modulo rule (set_id % shards),
-  /// which the hot paths inline (bit-mask for power-of-two W) instead
-  /// of paying a std::function call per edge.
-  std::function<uint32_t(SetId, uint32_t shards)> index;
-};
-
-/// The default partitioner, spelled out.
-inline ShardPartitioner SetModuloPartitioner() { return ShardPartitioner{}; }
-
-/// How many set-partitioned pipelines a RunConfig runs on, and how they
-/// fan out and merge.
+/// How many set-partitioned pipelines a RunConfig runs on. Shard w
+/// owns the sets s with s % W == w, and a W > 1 run runs its W
+/// pipelines on W threads and merges at τ = max(1, ⌊√(n·W)⌋).
 struct BackendSpec {
   /// "" or "sharded": W = max(1, workers) pipelines. "inprocess": one
   /// pipeline, whatever `workers` says. Any other name is refused.
@@ -269,16 +248,6 @@ struct BackendSpec {
 
   /// Worker fan-out W; 0 and 1 both run the single pipeline.
   uint32_t workers = 0;
-
-  /// Set-id partitioner of a W > 1 run.
-  ShardPartitioner partitioner = SetModuloPartitioner();
-
-  /// Thread-pool width of a W > 1 run; 0 = one thread per shard.
-  /// Results are bit-identical at any value.
-  size_t threads = 0;
-
-  /// Merge threshold τ override; 0 = the protocol's √(n·W) default.
-  uint32_t merge_threshold = 0;
 };
 
 /// One declarative run description, consumed by Execute().
@@ -329,13 +298,13 @@ struct RunConfig {
   /// in RunReport::validation.
   const SetCoverInstance* validate = nullptr;
 
-  /// Worker fan-out. W > 1 splits the stream by set id into W slices,
-  /// runs one pipeline per slice on the thread pool — shard w seeded
-  /// `options.seed + w`, so W = 1 reproduces the base seed — and merges
-  /// the W covers through the deterministic t-party protocol (paper §3)
-  /// at τ = √(n·W). W > 1 needs a shardable registry `algorithm`.
-  /// Checkpointing then writes ONE aggregate "SCSH" sidecar
-  /// (run/checkpoint.h) that resumes bit-identical at the same W.
+  /// Worker fan-out. W > 1 splits the stream by set id modulo W into W
+  /// slices, runs one pipeline per slice on its own thread — shard w
+  /// seeded `options.seed + w`, so W = 1 reproduces the base seed — and
+  /// merges the W covers through the deterministic t-party protocol
+  /// (paper §3) at τ = √(n·W). W > 1 needs a shardable registry
+  /// `algorithm`. At every W, checkpointing writes ONE file of W slots
+  /// (run/checkpoint.h) that resumes bit-identical at the same W only.
   BackendSpec backend;
 };
 

@@ -14,12 +14,6 @@ namespace {
 using internal::Clock;
 using internal::Seconds;
 
-/// The sessions' set-id split; W > 1 checkpoints record its name.
-const ShardPartitioner& Partitioner() {
-  static const ShardPartitioner partitioner = SetModuloPartitioner();
-  return partitioner;
-}
-
 }  // namespace
 
 std::unique_ptr<Session> Session::Open(const SessionConfig& config,
@@ -62,7 +56,7 @@ std::unique_ptr<Session> Session::Open(const SessionConfig& config,
     if (probe != nullptr) {
       std::fclose(probe);
       if (!internal::LoadResumeSlots(config.checkpoint_path, workers,
-                                     Partitioner().name, &slots, error)) {
+                                     &slots, error)) {
         return nullptr;
       }
       // Every write stores all W slots at one cursor; anything else is
@@ -198,11 +192,9 @@ IngestResult Session::Ingest(uint64_t sequence, std::span<const Edge> edges,
     if (!edges.empty()) pumps_[0].Feed(edges);
   } else {
     for (std::vector<Edge>& slice : slices_) slice.clear();
-    internal::WithOwner(Partitioner(), uint32_t(pumps_.size()),
-                        [&](auto owner) {
-                          for (const Edge& edge : edges)
-                            slices_[owner(edge.set)].push_back(edge);
-                        });
+    internal::WithOwner(uint32_t(pumps_.size()), [&](auto owner) {
+      for (const Edge& edge : edges) slices_[owner(edge.set)].push_back(edge);
+    });
     for (size_t w = 0; w < pumps_.size(); ++w)
       if (!slices_[w].empty()) pumps_[w].Feed(slices_[w]);
   }
@@ -233,10 +225,9 @@ bool Session::WriteCheckpoint(std::string* error) {
   if (config_.checkpoint_path.empty()) return true;  // volatile session
   ShardedCheckpoint slots;
   slots.shards = uint32_t(pumps_.size());
-  slots.partitioner = Partitioner().name;
   for (const internal::Pump& pump : pumps_)
     slots.shard_states.push_back(pump.Snapshot(position_, last_sequence_));
-  if (!internal::SaveSlots(slots, config_.checkpoint_path, error))
+  if (!SaveShardedCheckpoint(slots, config_.checkpoint_path, error))
     return false;
   for (internal::Pump& pump : pumps_) ++pump.report().checkpoints_written;
   delivered_at_last_checkpoint_ = EdgesDelivered();
@@ -253,8 +244,7 @@ const RunReport& Session::Finalize() {
     reports.push_back(pump.report());
   }
   RunReport report;
-  internal::AggregateShardReports(&report, reports, uint32_t(pumps_.size()),
-                                  /*merge_threshold=*/0);
+  internal::AggregateShardReports(&report, reports, uint32_t(pumps_.size()));
   report.stages.total_seconds = report.stages.setup_seconds +
                                 report.stages.stream_seconds +
                                 report.stages.finalize_seconds;

@@ -59,9 +59,8 @@ struct SessionConfig {
   std::optional<FaultSchedule> faults;
 
   /// Sidecar checkpoint file; empty = volatile session (a crash loses
-  /// it and the client replays from scratch). A plain SCKP checkpoint
-  /// at W = 1; at W > 1 one aggregate SCSH file holding all W slots at
-  /// one cursor (run/checkpoint.h).
+  /// it and the client replays from scratch). One file holding all W
+  /// slots at one cursor, at every W (run/checkpoint.h).
   std::string checkpoint_path;
 
   /// Write a checkpoint whenever at least this many edges were

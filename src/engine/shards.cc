@@ -33,7 +33,7 @@ static_assert(sizeof(Edge) == 2 * sizeof(uint32_t) &&
 size_t ShardFilterSource::Screen(std::span<const Edge> slice,
                                  Edge* out) const {
   size_t found = 0;
-  WithOwner(partitioner_, shards_, [&](auto owner) {
+  WithOwner(shards_, [&](auto owner) {
     if constexpr (std::is_same_v<decltype(owner), MaskOwner>) {
       found = simd::Active().select_masked_pairs(
           reinterpret_cast<const uint32_t*>(slice.data()), slice.size(),
@@ -112,49 +112,26 @@ EdgeBatch ShardFilterSource::NextBatch(size_t max_edges) {
 }
 
 bool LoadResumeSlots(const std::string& path, uint32_t shards,
-                     const std::string& partitioner_name,
                      std::vector<std::optional<Checkpoint>>* slots,
                      std::string* error) {
-  slots->assign(shards, std::nullopt);
-  if (shards == 1) {
-    std::optional<Checkpoint> loaded = LoadCheckpoint(path, error);
-    if (!loaded) return false;
-    (*slots)[0] = std::move(*loaded);
-    return true;
-  }
   std::optional<ShardedCheckpoint> loaded =
       LoadShardedCheckpoint(path, error);
   if (!loaded) return false;
   if (loaded->shards != shards) {
-    *error = "sharded checkpoint was written by a " +
+    *error = "checkpoint was written by a " +
              std::to_string(loaded->shards) + "-shard run, not " +
-             std::to_string(shards) + " shards";
-    return false;
-  }
-  if (loaded->partitioner != partitioner_name) {
-    *error = "sharded checkpoint was partitioned by '" +
-             loaded->partitioner + "', not '" + partitioner_name + "'";
+             std::to_string(shards) + (shards == 1 ? " shard" : " shards");
     return false;
   }
   *slots = std::move(loaded->shard_states);
   return true;
 }
 
-bool SaveSlots(const ShardedCheckpoint& slots, const std::string& path,
-               std::string* error) {
-  if (slots.shards == 1) {
-    // One-pipeline runs keep the plain single-run sidecar format.
-    return SaveCheckpoint(*slots.shard_states[0], path, error);
-  }
-  return SaveShardedCheckpoint(slots, path, error);
-}
-
 AggregateCheckpointWriter::AggregateCheckpointWriter(
-    std::string path, uint32_t shards, std::string partitioner_name,
+    std::string path, uint32_t shards,
     std::vector<std::optional<Checkpoint>> slots)
     : path_(std::move(path)) {
   aggregate_.shards = shards;
-  aggregate_.partitioner = std::move(partitioner_name);
   aggregate_.shard_states = std::move(slots);
   aggregate_.shard_states.resize(shards);
 }
@@ -164,7 +141,7 @@ bool AggregateCheckpointWriter::Store(uint32_t shard,
                                       std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
   aggregate_.shard_states[shard] = checkpoint;
-  return SaveSlots(aggregate_, path_, error);
+  return SaveShardedCheckpoint(aggregate_, path_, error);
 }
 
 CheckpointSink AggregateCheckpointWriter::SinkFor(uint32_t shard) {
@@ -174,18 +151,17 @@ CheckpointSink AggregateCheckpointWriter::SinkFor(uint32_t shard) {
 }
 
 CertificateMerge MergeCertificates(
-    const std::vector<const CoverSolution*>& locals, uint32_t parties,
-    uint32_t merge_threshold_override) {
+    const std::vector<const CoverSolution*>& locals, uint32_t parties) {
   CertificateMerge merge;
   const uint32_t n = uint32_t(locals.empty() ? 0
                                              : locals[0]->certificate.size());
   // Each party's certified (set -> covered elements) groups become the
-  // candidate sets of a t = W party instance — the partitioner makes
-  // candidates party-disjoint. Candidates are numbered in order of first
-  // appearance (party-major, elements ascending) and owned by the first
-  // party that certified them, so a set two parties certify (which no
-  // pure partitioner produces) is one candidate holding both parties'
-  // elements. One flat open-addressing index (linear probing, load
+  // candidate sets of a t = W party instance — the set-modulo split
+  // makes candidates party-disjoint. Candidates are numbered in order of
+  // first appearance (party-major, elements ascending) and owned by the
+  // first party that certified them, so a set two parties certify
+  // (which the split never produces) is one candidate holding both
+  // parties' elements. One flat open-addressing index (linear probing, load
   // ≤ 1/2) maps set -> candidate, and the (candidate, element) edges go
   // straight to FromEdges. A certificate names only sets of its party's
   // cover, so the index starts sized for Σ|cover| candidates; it still
@@ -205,8 +181,8 @@ CertificateMerge MergeCertificates(
   std::vector<SetId> candidate_set;
   std::vector<uint32_t> candidate_owner;
   auto slot_of = [&](SetId s) {
-    // Fibonacci hashing: the top bits of s·2^64/φ spread the
-    // partitioner's shared low bits across the table.
+    // Fibonacci hashing: the top bits of s·2^64/φ spread the shared
+    // low bits of a party's set ids (s % W) across the table.
     size_t at = size_t((uint64_t{s} * 0x9E3779B97F4A7C15ull) >> (64 - bits));
     while (index[at].set != s && index[at].set != kNoSet) {
       at = (at + 1) & (index.size() - 1);
@@ -243,9 +219,7 @@ CertificateMerge MergeCertificates(
   }
 
   const uint32_t tau =
-      merge_threshold_override != 0
-          ? merge_threshold_override
-          : std::max<uint32_t>(1, uint32_t(ISqrt(uint64_t(n) * parties)));
+      std::max<uint32_t>(1, uint32_t(ISqrt(uint64_t(n) * parties)));
   merge.merge_threshold = tau;
   // §3's message: covered bitmap (n bits) + first-seen table R (n
   // words) + the threshold picks so far — each pick covers ≥ τ new
@@ -283,7 +257,7 @@ CertificateMerge MergeCertificates(
 
 void AggregateShardReports(RunReport* report,
                            std::vector<RunReport>& shard_reports,
-                           uint32_t shards, uint32_t merge_threshold) {
+                           uint32_t shards) {
   if (shards == 1) {
     // Single-shard runs skip the merge entirely: shard 0's report *is*
     // the run.
@@ -350,8 +324,7 @@ void AggregateShardReports(RunReport* report,
     locals.reserve(shards);
     for (uint32_t w = 0; w < shards; ++w)
       locals.push_back(&shard_reports[w].solution);
-    CertificateMerge merge =
-        MergeCertificates(locals, shards, merge_threshold);
+    CertificateMerge merge = MergeCertificates(locals, shards);
     stats.merge_threshold = merge.merge_threshold;
     stats.max_message_words = merge.max_message_words;
     stats.message_words_bound = merge.message_words_bound;

@@ -15,17 +15,16 @@ namespace setcover {
 namespace engine {
 namespace internal {
 
-/// Machinery of the W set-partitioned pipelines that Execute() pulls
-/// through and a Session pushes into: the partitioner hot-loop dispatch,
-/// the per-shard stream filter, the aggregate checkpoint sidecar, and
-/// the deterministic-protocol cover merge. Internal to src/engine/.
+/// Machinery of the W set-modulo pipelines that Execute() pulls
+/// through and a Session pushes into: the owner hot-loop dispatch, the
+/// per-shard stream filter, the W-slot checkpoint file, and the
+/// deterministic-protocol cover merge. Internal to src/engine/.
 
 using CheckpointSink = std::function<bool(const Checkpoint&, std::string*)>;
 
-// Owner functors of the W > 1 shard screens: the set-modulo default
-// is a mask at power-of-two W (screened by the select_masked_pairs SIMD
-// kernel) and one integer modulo per edge otherwise; only custom
-// partitioners pay a std::function call.
+// Owner functors of the W > 1 shard screens: shard s % W owns set s,
+// a mask at power-of-two W (screened by the select_masked_pairs SIMD
+// kernel) and one integer modulo per edge otherwise.
 struct MaskOwner {
   uint32_t mask;
   uint32_t operator()(SetId s) const { return s & mask; }
@@ -34,23 +33,13 @@ struct ModOwner {
   uint32_t shards;
   uint32_t operator()(SetId s) const { return s % shards; }
 };
-struct FnOwner {
-  const std::function<uint32_t(SetId, uint32_t)>* fn;
-  uint32_t shards;
-  uint32_t operator()(SetId s) const { return (*fn)(s, shards); }
-};
 
 template <typename Fn>
-void WithOwner(const ShardPartitioner& partitioner, uint32_t shards,
-               Fn&& fn) {
-  if (!partitioner.index) {
-    if ((shards & (shards - 1)) == 0) {
-      fn(MaskOwner{shards - 1});
-    } else {
-      fn(ModOwner{shards});
-    }
+void WithOwner(uint32_t shards, Fn&& fn) {
+  if ((shards & (shards - 1)) == 0) {
+    fn(MaskOwner{shards - 1});
   } else {
-    fn(FnOwner{&partitioner.index, shards});
+    fn(ModOwner{shards});
   }
 }
 
@@ -69,12 +58,8 @@ void WithOwner(const ShardPartitioner& partitioner, uint32_t shards,
 /// next pull.
 class ShardFilterSource : public EdgeSource {
  public:
-  ShardFilterSource(EdgeSource* inner, uint32_t shard, uint32_t shards,
-                    const ShardPartitioner& partitioner)
-      : inner_(inner),
-        shard_(shard),
-        shards_(shards),
-        partitioner_(partitioner) {}
+  ShardFilterSource(EdgeSource* inner, uint32_t shard, uint32_t shards)
+      : inner_(inner), shard_(shard), shards_(shards) {}
 
   const StreamMetadata& Meta() const override { return inner_->Meta(); }
   EdgeBatch NextBatch(size_t max_edges) override;
@@ -93,10 +78,7 @@ class ShardFilterSource : public EdgeSource {
   bool Truncated() const override { return inner_->Truncated(); }
 
  private:
-  uint32_t OwnerOf(SetId s) const {
-    return partitioner_.index ? partitioner_.index(s, shards_)
-                              : s % shards_;
-  }
+  uint32_t OwnerOf(SetId s) const { return s % shards_; }
   /// Copies the shard's records of `slice` to `out`, in order, and
   /// returns how many; `out` has room for the whole slice.
   size_t Screen(std::span<const Edge> slice, Edge* out) const;
@@ -104,7 +86,6 @@ class ShardFilterSource : public EdgeSource {
   EdgeSource* inner_;
   uint32_t shard_;
   uint32_t shards_;
-  const ShardPartitioner& partitioner_;
 
   std::vector<Edge> out_;
   /// The unscreened tail of the inner source's last kOk span.
@@ -118,27 +99,18 @@ class ShardFilterSource : public EdgeSource {
   bool held_pending_replay_ = false;
 };
 
-/// Loads the resume slots for a W-way run from `path`. W == 1 reads a
-/// plain single-run SCKP sidecar; W > 1 reads the aggregate SCSH format
-/// and refuses a shard-count or partitioner mismatch.
+/// Loads the resume slots for a W-way run from `path`, refusing a file
+/// written at another W.
 bool LoadResumeSlots(const std::string& path, uint32_t shards,
-                     const std::string& partitioner_name,
                      std::vector<std::optional<Checkpoint>>* slots,
                      std::string* error);
 
-/// The inverse of LoadResumeSlots: writes `slots` as the one sidecar of
-/// a W-way run — slot 0 as a plain SCKP file at W == 1, the aggregate
-/// SCSH format otherwise.
-bool SaveSlots(const ShardedCheckpoint& slots, const std::string& path,
-               std::string* error);
-
-/// The one aggregate checkpoint sidecar of an Execute() run: thread-safe
-/// slot folding, rewritten atomically (SaveSlots) whenever any shard
-/// reaches its checkpoint cadence.
+/// The one checkpoint sidecar of an Execute() run: thread-safe slot
+/// folding, rewritten atomically (SaveShardedCheckpoint) whenever any
+/// shard reaches its checkpoint cadence.
 class AggregateCheckpointWriter {
  public:
   AggregateCheckpointWriter(std::string path, uint32_t shards,
-                            std::string partitioner_name,
                             std::vector<std::optional<Checkpoint>> slots);
 
   /// Folds shard `w`'s snapshot in and rewrites the sidecar. Safe from
@@ -157,7 +129,7 @@ class AggregateCheckpointWriter {
 
 /// One deterministic-protocol merge of W local covers (paper §3):
 /// certificate groups become shard-disjoint candidate sets,
-/// threshold-greedy at τ = √(n·W) (unless overridden) picks the heavy
+/// threshold-greedy at τ = max(1, ⌊√(n·W)⌋) picks the heavy
 /// candidates, the patching scan covers the rest. Candidate order is
 /// the certificate scan order (party-major, elements ascending), so
 /// the merge is deterministic.
@@ -170,8 +142,7 @@ struct CertificateMerge {
   uint64_t patched_sets = 0;
 };
 CertificateMerge MergeCertificates(
-    const std::vector<const CoverSolution*>& locals, uint32_t parties,
-    uint32_t merge_threshold_override);
+    const std::vector<const CoverSolution*>& locals, uint32_t parties);
 
 /// Folds W completed shard reports into `report`: counter sums, stage
 /// maxima, per-shard stats, then the certificate merge. At W == 1 the
@@ -179,7 +150,7 @@ CertificateMerge MergeCertificates(
 /// with its own setup_seconds stamped; the shards' setup time adds on.
 void AggregateShardReports(RunReport* report,
                            std::vector<RunReport>& shard_reports,
-                           uint32_t shards, uint32_t merge_threshold);
+                           uint32_t shards);
 
 }  // namespace internal
 }  // namespace engine

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <span>
+#include <utility>
 
 #include "util/atomic_file.h"
 #include "util/crc32.h"
@@ -11,15 +13,16 @@ namespace setcover {
 namespace {
 
 constexpr uint32_t kMagic = 0x504B4353u;  // "SCKP" little-endian
-// v2 added session_sequence (the session server's exactly-once cursor).
-// v3 keeps that layout, but adversarial-level state gained a word (its
-// promotion countdown), so a v2 file's state words would be read with
-// the wrong layout; v1 and v2 files are refused.
-constexpr uint32_t kVersion = 3;
+// v4 holds W slots at every W under a CRC-32C. v1–v3 held one
+// unslotted body under a CRC-32 (v1 without session_sequence, v2 with
+// adversarial-level state short of its promotion countdown word); they
+// are refused, never decoded.
+constexpr uint32_t kVersion = 4;
 
-constexpr uint32_t kShardedMagic = 0x48534353u;  // "SCSH" little-endian
-// v2: slots carry SCKP v3 bodies; v1 files are refused.
-constexpr uint32_t kShardedVersion = 2;
+// The retired multi-slot format of W > 1 runs (versions 1 and 2).
+// Server state dirs may still hold such sidecars; they are refused by
+// name and version.
+constexpr uint32_t kRetiredShardedMagic = 0x48534353u;  // "SCSH"
 
 void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
@@ -72,15 +75,13 @@ struct ByteReader {
 
 /// Bytes AppendCheckpointBody writes: the name's length and bytes, two
 /// u32 meta fields, eight u64 fields (the last one the state length),
-/// and the state words. Writers size their buffer from it once.
+/// and the state words. The writer sizes its buffer from it once.
 size_t CheckpointBodyBytes(const Checkpoint& checkpoint) {
   return 4 + checkpoint.algorithm_name.size() + 2 * 4 + 8 * 8 +
          checkpoint.state_words.size() * 8;
 }
 
-/// The checkpoint body — everything between the header and the CRC of
-/// the single-run format. The sharded aggregate embeds one body per
-/// present slot, byte-identical to the single-run layout.
+/// One present slot's body, name through state words.
 void AppendCheckpointBody(std::vector<uint8_t>* bytes,
                           const Checkpoint& checkpoint) {
   AppendU32(bytes, uint32_t(checkpoint.algorithm_name.size()));
@@ -129,25 +130,39 @@ bool ParseCheckpointBody(ByteReader* in, Checkpoint* checkpoint) {
   return in->ok;
 }
 
-/// Appends the CRC and writes `bytes` to `path` via tmp + atomic rename.
-bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
-                     std::string* error) {
-  AppendU32(bytes, Crc32(bytes->data() + 4, bytes->size() - 4));
+/// Writes the file of `slots` (null: an absent slot) via tmp + atomic
+/// rename.
+bool WriteSlots(std::span<const Checkpoint* const> slots,
+                const std::string& path, std::string* error) {
+  size_t size = 12 + 4;  // header + CRC
+  for (const Checkpoint* slot : slots) {
+    size += 4 + (slot != nullptr ? CheckpointBodyBytes(*slot) : 0);
+  }
+  std::vector<uint8_t> bytes;
+  bytes.reserve(size);
+  AppendU32(&bytes, kMagic);
+  AppendU32(&bytes, kVersion);
+  AppendU32(&bytes, uint32_t(slots.size()));
+  for (const Checkpoint* slot : slots) {
+    AppendU32(&bytes, slot != nullptr ? 1 : 0);
+    if (slot != nullptr) AppendCheckpointBody(&bytes, *slot);
+  }
+  AppendU32(&bytes, Crc32c(bytes.data() + 4, bytes.size() - 4));
   return WriteFileAtomically(
       path,
-      [bytes](std::FILE* f) {
-        return WriteBytes(f, bytes->data(), bytes->size());
+      [&bytes](std::FILE* f) {
+        return WriteBytes(f, bytes.data(), bytes.size());
       },
       error);
 }
 
-/// Loads `path` and verifies its header magic, its version (exactly
-/// `version`) and the trailing CRC.
-bool LoadVerified(const std::string& path, uint32_t magic, uint32_t version,
-                  std::vector<uint8_t>* bytes, std::string* error) {
+/// Loads `path` and verifies its magic, its version and the trailing
+/// CRC; false with *error naming what was refused.
+bool LoadVerified(const std::string& path, std::vector<uint8_t>* bytes,
+                  std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open checkpoint " + path;
+    *error = "cannot open checkpoint " + path;
     return false;
   }
   uint8_t buffer[4096];
@@ -157,29 +172,35 @@ bool LoadVerified(const std::string& path, uint32_t magic, uint32_t version,
   std::fclose(f);
 
   ByteReader in{bytes->data(), bytes->size()};
-  const uint32_t file_magic = in.U32();
-  const uint32_t file_version = in.U32();
-  if (!in.ok || file_magic != magic) {
-    if (error != nullptr) *error = path + ": not a checkpoint file";
+  const uint32_t magic = in.U32();
+  const uint32_t version = in.U32();
+  if (in.ok && magic == kRetiredShardedMagic) {
+    *error = path + ": SCSH checkpoint format version " +
+             std::to_string(version) +
+             " is not supported (this build reads SCKP version " +
+             std::to_string(kVersion) + ")";
     return false;
   }
-  if (file_version != version) {
-    if (error != nullptr)
-      *error = path + ": checkpoint format version " +
-               std::to_string(file_version) +
-               " is not supported (this build reads version " +
-               std::to_string(version) + ")";
+  if (!in.ok || magic != kMagic) {
+    *error = path + ": not a checkpoint file";
+    return false;
+  }
+  if (version != kVersion) {
+    *error = path + ": checkpoint format version " +
+             std::to_string(version) +
+             " is not supported (this build reads version " +
+             std::to_string(kVersion) + ")";
     return false;
   }
   // The trailing CRC covers everything between the magic and itself.
-  if (bytes->size() < 12) {
-    if (error != nullptr) *error = path + ": truncated checkpoint";
+  if (bytes->size() < 16) {
+    *error = path + ": truncated checkpoint";
     return false;
   }
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes->data() + bytes->size() - 4, 4);
-  if (Crc32(bytes->data() + 4, bytes->size() - 8) != stored_crc) {
-    if (error != nullptr) *error = path + ": checkpoint checksum mismatch";
+  if (Crc32c(bytes->data() + 4, bytes->size() - 8) != stored_crc) {
+    *error = path + ": checkpoint checksum mismatch";
     return false;
   }
   return true;
@@ -189,91 +210,56 @@ bool LoadVerified(const std::string& path, uint32_t magic, uint32_t version,
 
 bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
                     std::string* error) {
-  std::vector<uint8_t> bytes;
-  bytes.reserve(8 + CheckpointBodyBytes(checkpoint) + 4);  // + CRC
-  AppendU32(&bytes, kMagic);
-  AppendU32(&bytes, kVersion);
-  AppendCheckpointBody(&bytes, checkpoint);
-  return WriteAtomically(&bytes, path, error);
-}
-
-std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
-                                         std::string* error) {
-  std::vector<uint8_t> bytes;
-  if (!LoadVerified(path, kMagic, kVersion, &bytes, error)) {
-    return std::nullopt;
-  }
-  ByteReader in{bytes.data(), bytes.size(), /*pos=*/8};
-  Checkpoint checkpoint;
-  if (!ParseCheckpointBody(&in, &checkpoint) ||
-      in.pos + 4 != bytes.size()) {
-    if (error != nullptr) *error = path + ": malformed checkpoint";
-    return std::nullopt;
-  }
-  return checkpoint;
+  const Checkpoint* slot = &checkpoint;
+  return WriteSlots({&slot, 1}, path, error);
 }
 
 bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
                            const std::string& path, std::string* error) {
   if (checkpoint.shard_states.size() != checkpoint.shards) {
-    if (error != nullptr)
-      *error = "sharded checkpoint has " +
-               std::to_string(checkpoint.shard_states.size()) +
-               " slots for " + std::to_string(checkpoint.shards) + " shards";
+    *error = "sharded checkpoint has " +
+             std::to_string(checkpoint.shard_states.size()) +
+             " slots for " + std::to_string(checkpoint.shards) + " shards";
     return false;
   }
-  size_t size = 16 + checkpoint.partitioner.size() + 4;  // header + CRC
+  std::vector<const Checkpoint*> slots;
+  slots.reserve(checkpoint.shards);
   for (const std::optional<Checkpoint>& slot : checkpoint.shard_states) {
-    size += 4 + (slot.has_value() ? CheckpointBodyBytes(*slot) : 0);
+    slots.push_back(slot.has_value() ? &*slot : nullptr);
   }
-  std::vector<uint8_t> bytes;
-  bytes.reserve(size);
-  AppendU32(&bytes, kShardedMagic);
-  AppendU32(&bytes, kShardedVersion);
-  AppendU32(&bytes, checkpoint.shards);
-  AppendU32(&bytes, uint32_t(checkpoint.partitioner.size()));
-  for (char c : checkpoint.partitioner) bytes.push_back(uint8_t(c));
-  for (const std::optional<Checkpoint>& slot : checkpoint.shard_states) {
-    AppendU32(&bytes, slot.has_value() ? 1 : 0);
-    if (slot.has_value()) AppendCheckpointBody(&bytes, *slot);
-  }
-  return WriteAtomically(&bytes, path, error);
+  return WriteSlots(slots, path, error);
 }
 
 std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
     const std::string& path, std::string* error) {
   std::vector<uint8_t> bytes;
-  if (!LoadVerified(path, kShardedMagic, kShardedVersion, &bytes, error)) {
-    return std::nullopt;
-  }
+  if (!LoadVerified(path, &bytes, error)) return std::nullopt;
   ByteReader in{bytes.data(), bytes.size(), /*pos=*/8};
   ShardedCheckpoint checkpoint;
   checkpoint.shards = in.U32();
   // Oversized shard counts would try to reserve garbage; anything that
   // cannot fit present-flags in the remaining bytes is malformed.
-  if (!in.ok || !in.String(&checkpoint.partitioner) ||
-      checkpoint.shards > (in.size - in.pos) / 4) {
-    if (error != nullptr) *error = path + ": malformed checkpoint";
+  if (!in.ok || checkpoint.shards > (in.size - in.pos) / 4) {
+    *error = path + ": malformed checkpoint";
     return std::nullopt;
   }
   checkpoint.shard_states.resize(checkpoint.shards);
   for (uint32_t w = 0; w < checkpoint.shards; ++w) {
     const uint32_t present = in.U32();
     if (!in.ok || present > 1) {
-      if (error != nullptr) *error = path + ": malformed checkpoint";
+      *error = path + ": malformed checkpoint";
       return std::nullopt;
     }
     if (present == 0) continue;
     Checkpoint slot;
-    // Slot bodies always use the current single-run layout.
     if (!ParseCheckpointBody(&in, &slot)) {
-      if (error != nullptr) *error = path + ": malformed checkpoint";
+      *error = path + ": malformed checkpoint";
       return std::nullopt;
     }
     checkpoint.shard_states[w] = std::move(slot);
   }
   if (!in.ok || in.pos + 4 != bytes.size()) {
-    if (error != nullptr) *error = path + ": malformed checkpoint";
+    *error = path + ": malformed checkpoint";
     return std::nullopt;
   }
   return checkpoint;

@@ -10,32 +10,13 @@
 
 namespace setcover {
 
-/// One recoverable snapshot of a supervised run: everything needed to
-/// continue a one-pass execution after a crash — which algorithm was
-/// running, over which stream shape, how far the source had been
-/// consumed, the algorithm's serialized state (StateEncoder words, RNG
-/// included by each algorithm's EncodeState), and the supervisor's own
-/// fault counters so a resumed run reports totals as if uninterrupted.
-///
-/// On-disk layout (little-endian), file magic "SCKP", version 3:
-///   magic, version u32
-///   name_len u32, name bytes
-///   m u32, n u32, N u64
-///   stream_position u64, edges_delivered u64
-///   transient_retries u64, corrupt_skipped u64, faults_survived u64
-///   session_sequence u64
-///   state_len u64, state words (u64 each)
-///   crc u32 — CRC-32 of every byte after the magic
-///
-/// Any other version is refused with an error naming the version:
-/// version 1 files had no session_sequence field, and version 2 files
-/// hold adversarial-level state without its promotion countdown word.
-/// No version 1 or 2 file is ever decoded as version 3 state.
-///
-/// SaveCheckpoint stages into `path + ".tmp"` and atomically renames, so
-/// the previous valid checkpoint survives a crash mid-save; Load
-/// verifies the CRC and rejects damaged or torn files instead of
-/// resuming from garbage.
+/// One recoverable snapshot of one pipeline of a supervised run:
+/// everything needed to continue a one-pass execution after a crash —
+/// which algorithm was running, over which stream shape, how far the
+/// source had been consumed, the algorithm's serialized state
+/// (StateEncoder words, RNG included by each algorithm's EncodeState),
+/// and the supervisor's own fault counters so a resumed run reports
+/// totals as if uninterrupted.
 struct Checkpoint {
   std::string algorithm_name;
   StreamMetadata meta;
@@ -64,20 +45,10 @@ struct Checkpoint {
   std::vector<uint64_t> state_words;
 };
 
-/// Writes atomically; false (with *error) on I/O failure.
-bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
-                    std::string* error);
-
-/// Reads and CRC-verifies; nullopt (with *error) on a missing file,
-/// malformed layout, or checksum mismatch.
-std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
-                                         std::string* error);
-
-/// One recoverable snapshot of a *sharded* run (engine::Execute with
-/// backend.workers = W > 1): the W per-shard cursors + algorithm states
-/// aggregated into a single file, so kill-and-resume of a W-way run
-/// needs exactly one sidecar — same contract as the single-run
-/// Checkpoint, W slots wide.
+/// The one checkpoint file of a W-way run (engine::Execute or a
+/// Session at W >= 1 set-modulo shards): the W per-shard snapshots in
+/// a single file, so kill-and-resume needs exactly one sidecar at every
+/// W, W = 1 included.
 ///
 /// Slots are independent: a shard that never reached its checkpoint
 /// cadence before the crash has no entry (`shard_states[w] ==
@@ -87,30 +58,48 @@ std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
 /// combination of persisted slots resumes bit-identical to the unkilled
 /// run.
 ///
-/// On-disk layout (little-endian), file magic "SCSH", version 2 (its
-/// slots hold SCKP version 3 bodies; version 1 files are refused):
+/// On-disk layout (little-endian), file magic "SCKP", version 4:
 ///   magic, version u32
 ///   shards u32
-///   partitioner_len u32, partitioner name bytes
-///   per shard: present u32 (0/1); when present, the slot's Checkpoint
-///     in exactly the byte layout of the single-run format's body
-///     (name through state words)
-///   crc u32 — CRC-32 of every byte after the magic
+///   per shard: present u32 (0/1); when present, the slot's body:
+///     name_len u32, name bytes
+///     m u32, n u32, N u64
+///     stream_position u64, edges_delivered u64
+///     transient_retries u64, corrupt_skipped u64, faults_survived u64
+///     session_sequence u64
+///     state_len u64, state words (u64 each)
+///   crc u32 — CRC-32C of every byte after the magic
 ///
-/// SaveShardedCheckpoint stages into `path + ".tmp"` and atomically
-/// renames; LoadShardedCheckpoint CRC-verifies and rejects damage.
+/// Every other file is refused with an error that names its format and
+/// version: SCKP versions 1–3 (one unslotted body under a CRC-32;
+/// version 1 had no session_sequence, and version 2 holds
+/// adversarial-level state without its promotion countdown word) and
+/// the retired "SCSH" multi-slot format. Nothing but version 4 is ever
+/// decoded.
+///
+/// Saves stage into `path + ".tmp"` and atomically rename, so the
+/// previous valid checkpoint survives a crash mid-save; the load
+/// verifies the CRC and rejects damaged or torn files instead of
+/// resuming from garbage.
 struct ShardedCheckpoint {
   uint32_t shards = 0;
-  /// ShardPartitioner::name the run was partitioned with; resuming
-  /// under a different partitioner is refused (the cursors would replay
-  /// the wrong slices).
-  std::string partitioner;
   std::vector<std::optional<Checkpoint>> shard_states;  // size == shards
 };
 
+/// Writes the one-slot file of a single pipeline: the bytes of a
+/// ShardedCheckpoint with shards = 1 holding `checkpoint`. False (with
+/// *error) on I/O failure.
+bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
+                    std::string* error);
+
+/// Writes atomically; false (with *error) on I/O failure or when the
+/// slot count does not match `shards`.
 bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
                            const std::string& path, std::string* error);
 
+/// Reads and CRC-verifies; nullopt (with *error) on a missing file, a
+/// refused format or version, a malformed layout, or a checksum
+/// mismatch.
 std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
     const std::string& path, std::string* error);
 

@@ -89,31 +89,14 @@ Message SessionManager::HandleOpen(const Message& request) {
   reply.type = MessageType::kOpenOk;
   reply.session_id = id;
 
-  auto it = sessions_.find(id);
-  if (it == sessions_.end() && !state_dir_.empty()) {
-    // Unknown in memory — maybe a previous incarnation of this server
-    // opened it. The manifest decides.
-    std::vector<uint8_t> manifest;
-    if (ReadFile(ManifestPath(id), &manifest)) {
-      std::string error;
-      std::optional<Message> persisted = DecodeMessage(manifest, &error);
-      if (!persisted || persisted->type != MessageType::kOpen)
-        return MakeError(id, "corrupt session manifest: " + error);
-      auto entry = std::make_shared<Entry>();
-      entry->session = BuildSession(id, persisted->open, /*resume=*/true,
-                                    &error);
-      if (entry->session == nullptr)
-        return MakeError(id, "session recovery failed: " + error);
-      it = sessions_.emplace(id, std::move(entry)).first;
-    }
-  }
-
-  if (it != sessions_.end()) {
+  std::string error;
+  std::shared_ptr<Entry> known = FindOrRecoverLocked(id, &error);
+  if (!error.empty()) return MakeError(id, error);
+  if (known != nullptr) {
     // Re-attach (client retry of a lost kOpenOk, or a reconnect after a
     // server crash): report the durable cursor so the client resumes
     // sending from last_sequence + 1.
-    it->second->last_touch = clock_();
-    engine::Session& session = *it->second->session;
+    engine::Session& session = *known->session;
     reply.resumed = true;
     reply.last_sequence = session.LastSequence();
     reply.edges_delivered = session.Stats().edges_delivered;
@@ -126,7 +109,6 @@ Message SessionManager::HandleOpen(const Message& request) {
   // torn.
   if (!state_dir_.empty()) {
     const std::vector<uint8_t> manifest = EncodeMessage(request);
-    std::string error;
     if (!WriteFileAtomically(
             ManifestPath(id),
             [&manifest](std::FILE* f) {
@@ -136,7 +118,6 @@ Message SessionManager::HandleOpen(const Message& request) {
       return MakeError(id, error);
     }
   }
-  std::string error;
   auto entry = std::make_shared<Entry>();
   entry->session = BuildSession(id, request.open, /*resume=*/false, &error);
   if (entry->session == nullptr) {
@@ -151,36 +132,33 @@ Message SessionManager::HandleOpen(const Message& request) {
   return reply;
 }
 
-std::shared_ptr<SessionManager::Entry> SessionManager::FindOrRecover(
+std::shared_ptr<SessionManager::Entry> SessionManager::FindOrRecoverLocked(
     uint64_t id, std::string* error) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = sessions_.find(id);
   if (it != sessions_.end()) {
     it->second->last_touch = clock_();
     return it->second;
   }
-  if (!state_dir_.empty()) {
-    std::vector<uint8_t> manifest;
-    if (ReadFile(ManifestPath(id), &manifest)) {
-      std::string decode_error;
-      std::optional<Message> persisted =
-          DecodeMessage(manifest, &decode_error);
-      if (!persisted || persisted->type != MessageType::kOpen) {
-        if (error != nullptr)
-          *error = "corrupt session manifest: " + decode_error;
-        return nullptr;
-      }
-      auto entry = std::make_shared<Entry>();
-      entry->session =
-          BuildSession(id, persisted->open, /*resume=*/true, error);
-      if (entry->session == nullptr) return nullptr;
-      entry->last_touch = clock_();
-      return sessions_.emplace(id, std::move(entry)).first->second;
-    }
+  // Unknown in memory — maybe a previous incarnation of this server
+  // opened it. The manifest decides.
+  std::vector<uint8_t> manifest;
+  if (state_dir_.empty() || !ReadFile(ManifestPath(id), &manifest)) {
+    return nullptr;
   }
-  if (error != nullptr)
-    *error = "unknown session " + std::to_string(id);
-  return nullptr;
+  std::string cause;
+  std::optional<Message> persisted = DecodeMessage(manifest, &cause);
+  if (!persisted || persisted->type != MessageType::kOpen) {
+    *error = "corrupt session manifest: " + cause;
+    return nullptr;
+  }
+  auto entry = std::make_shared<Entry>();
+  entry->session = BuildSession(id, persisted->open, /*resume=*/true, &cause);
+  if (entry->session == nullptr) {
+    *error = "session recovery failed: " + cause;
+    return nullptr;
+  }
+  entry->last_touch = clock_();
+  return sessions_.emplace(id, std::move(entry)).first->second;
 }
 
 Message SessionManager::HandleClose(const Message& request) {
@@ -217,15 +195,20 @@ Message SessionManager::Handle(const Message& request) {
     return reply;  // the server layer fills frames_received / sheds
   }
 
+  std::string error;
+  std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (std::optional<Message> gate = EvictionGateLocked(request.session_id))
       return *gate;
+    entry = FindOrRecoverLocked(request.session_id, &error);
   }
-
-  std::string error;
-  std::shared_ptr<Entry> entry = FindOrRecover(request.session_id, &error);
-  if (entry == nullptr) return MakeError(request.session_id, error);
+  if (entry == nullptr) {
+    if (error.empty()) {
+      error = "unknown session " + std::to_string(request.session_id);
+    }
+    return MakeError(request.session_id, error);
+  }
   std::lock_guard<std::mutex> session_lock(entry->mutex);
   engine::Session& session = *entry->session;
 

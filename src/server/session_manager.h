@@ -28,8 +28,8 @@ namespace server {
 ///                           exactly what the client declared)
 ///   <state_dir>/<id>.sckp   the engine checkpoint (state + exactly-once
 ///                           cursor), rewritten every checkpoint_every
-///                           delivered edges and on drain; at
-///                           workers > 1 it holds all W slots (SCSH)
+///                           delivered edges and on drain; it
+///                           holds all W slots at one cursor
 /// A restarted manager recovers a session *on demand*, the first time
 /// any op names an id it does not hold in memory: manifest -> config,
 /// checkpoint -> state. A session that crashed before its first
@@ -95,10 +95,14 @@ class SessionManager {
   std::string ManifestPath(uint64_t id) const;
   void RemoveSidecars(uint64_t id) const;
 
-  /// Finds the entry for `id`, recovering it from the manifest when the
-  /// manager does not hold it in memory. nullptr with *error when the
-  /// id is unknown (no memory entry, no manifest).
-  std::shared_ptr<Entry> FindOrRecover(uint64_t id, std::string* error);
+  /// Finds the entry for `id` and touches it, recovering it from its
+  /// manifest and checkpoint when the manager does not hold it in
+  /// memory: the one recovery path of kOpen and every session op.
+  /// nullptr with *error empty when the id is unknown (no memory entry,
+  /// no manifest); nullptr with *error set when the manifest is corrupt
+  /// or the rebuild fails. Caller holds mutex_.
+  std::shared_ptr<Entry> FindOrRecoverLocked(uint64_t id,
+                                             std::string* error);
 
   /// Builds a session from an OpenBody (fresh or resumed).
   std::unique_ptr<engine::Session> BuildSession(uint64_t id,

@@ -20,9 +20,9 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Reference bodies. Marked always_inline so each tier's wrapper embeds
-// them under its own target attribute: the SSE4.2 tier gets POPCNT
-// codegen for the exact same source, which keeps the semantics of the
-// non-intrinsic kernels identical by construction.
+// them under its own target attribute: every tier compiles the exact
+// same source, which keeps the semantics of the non-intrinsic kernels
+// identical by construction.
 
 __attribute__((always_inline)) inline void GatherBitsBody(
     const uint64_t* words, const uint32_t* ids, size_t count,
@@ -53,32 +53,6 @@ __attribute__((always_inline)) inline void GatherEqualU32Body(
     }
   }
   if (count & 63) out_mask[count >> 6] = cur;
-}
-
-__attribute__((always_inline)) inline uint64_t PopcountWordsBody(
-    const uint64_t* words, size_t count) {
-  uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    t0 += uint64_t(std::popcount(words[i]));
-    t1 += uint64_t(std::popcount(words[i + 1]));
-    t2 += uint64_t(std::popcount(words[i + 2]));
-    t3 += uint64_t(std::popcount(words[i + 3]));
-  }
-  for (; i < count; ++i) t0 += uint64_t(std::popcount(words[i]));
-  return t0 + t1 + t2 + t3;
-}
-
-__attribute__((always_inline)) inline uint64_t PopcountAndnotBody(
-    const uint64_t* a, const uint64_t* b, size_t count) {
-  uint64_t t0 = 0, t1 = 0;
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    t0 += uint64_t(std::popcount(a[i] & ~b[i]));
-    t1 += uint64_t(std::popcount(a[i + 1] & ~b[i + 1]));
-  }
-  for (; i < count; ++i) t0 += uint64_t(std::popcount(a[i] & ~b[i]));
-  return t0 + t1;
 }
 
 __attribute__((always_inline)) inline size_t SelectMaskedPairsBody(
@@ -139,15 +113,6 @@ void GatherEqualU32Scalar(const uint32_t* values, const uint32_t* ids,
   GatherEqualU32Body(values, ids, count, needle, out_mask);
 }
 
-uint64_t PopcountWordsScalar(const uint64_t* words, size_t count) {
-  return PopcountWordsBody(words, count);
-}
-
-uint64_t PopcountAndnotScalar(const uint64_t* a, const uint64_t* b,
-                              size_t count) {
-  return PopcountAndnotBody(a, b, count);
-}
-
 size_t SelectMaskedPairsScalar(const uint32_t* pairs, size_t count,
                                uint32_t mask, uint32_t value,
                                uint32_t* out_pairs) {
@@ -161,8 +126,7 @@ size_t DecodeVarintPairsScalar(const uint8_t* bytes, size_t size,
 }
 
 constexpr Kernels kScalarKernels = {
-    GatherBitsScalar,        GatherEqualU32Scalar, PopcountWordsScalar,
-    PopcountAndnotScalar,    SelectMaskedPairsScalar,
+    GatherBitsScalar, GatherEqualU32Scalar, SelectMaskedPairsScalar,
     DecodeVarintPairsScalar, Crc32cPortable,
 };
 
@@ -170,10 +134,10 @@ constexpr Kernels kScalarKernels = {
 
 // ---------------------------------------------------------------------
 // SSE4.2 tier: the hardware CRC-32C instruction (moved here from
-// util/crc32.cc, which now routes through the kernel table) plus POPCNT
-// codegen for the word kernels. No 256-bit gathers exist at this tier,
-// so the gather/scan kernels are the reference bodies compiled with the
-// tier's ISA enabled.
+// util/crc32.cc, which now routes through the kernel table) and the
+// pshufb varint decode. No 256-bit gathers exist at this tier, so the
+// gather/scan kernels are the reference bodies compiled with the tier's
+// ISA enabled.
 
 __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
                                                        size_t bytes,
@@ -202,16 +166,6 @@ __attribute__((target("sse4.2,popcnt"))) void GatherEqualU32Sse42(
     const uint32_t* values, const uint32_t* ids, size_t count,
     uint32_t needle, uint64_t* out_mask) {
   GatherEqualU32Body(values, ids, count, needle, out_mask);
-}
-
-__attribute__((target("sse4.2,popcnt"))) uint64_t PopcountWordsSse42(
-    const uint64_t* words, size_t count) {
-  return PopcountWordsBody(words, count);
-}
-
-__attribute__((target("sse4.2,popcnt"))) uint64_t PopcountAndnotSse42(
-    const uint64_t* a, const uint64_t* b, size_t count) {
-  return PopcountAndnotBody(a, b, count);
 }
 
 __attribute__((target("sse4.2,popcnt"))) size_t SelectMaskedPairsSse42(
@@ -452,8 +406,7 @@ __attribute__((target("sse4.2,popcnt"))) size_t DecodeVarintPairsSse42(
 }
 
 constexpr Kernels kSse42Kernels = {
-    GatherBitsSse42,        GatherEqualU32Sse42, PopcountWordsSse42,
-    PopcountAndnotSse42,    SelectMaskedPairsSse42,
+    GatherBitsSse42, GatherEqualU32Sse42, SelectMaskedPairsSse42,
     DecodeVarintPairsSse42, Crc32cSse42,
 };
 
@@ -528,16 +481,6 @@ __attribute__((target("avx2"))) void GatherEqualU32Avx2(
   if (count & 63) out_mask[count >> 6] = cur;
 }
 
-__attribute__((target("avx2,popcnt"))) uint64_t PopcountWordsAvx2(
-    const uint64_t* words, size_t count) {
-  return PopcountWordsBody(words, count);
-}
-
-__attribute__((target("avx2,popcnt"))) uint64_t PopcountAndnotAvx2(
-    const uint64_t* a, const uint64_t* b, size_t count) {
-  return PopcountAndnotBody(a, b, count);
-}
-
 // permutevar8x32 lane indices per 4-bit hit mask: the hit pairs (two
 // 32-bit lanes each) move to the front, in order; the rest is don't-care.
 struct PairCompressTable {
@@ -596,8 +539,7 @@ __attribute__((target("avx2,popcnt"))) size_t DecodeVarintPairsAvx2(
 }
 
 constexpr Kernels kAvx2Kernels = {
-    GatherBitsAvx2,        GatherEqualU32Avx2, PopcountWordsAvx2,
-    PopcountAndnotAvx2,    SelectMaskedPairsAvx2,
+    GatherBitsAvx2, GatherEqualU32Avx2, SelectMaskedPairsAvx2,
     DecodeVarintPairsAvx2, Crc32cSse42,
 };
 

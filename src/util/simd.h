@@ -56,14 +56,6 @@ struct Kernels {
                            size_t count, uint32_t needle,
                            uint64_t* out_mask);
 
-  /// Total popcount of words[0, count).
-  uint64_t (*popcount_words)(const uint64_t* words, size_t count);
-
-  /// Σ popcount(a[i] & ~b[i]) — the greedy recount primitive (bits of
-  /// `a` not yet covered by `b`).
-  uint64_t (*popcount_andnot_words)(const uint64_t* a, const uint64_t* b,
-                                    size_t count);
-
   /// Owner screen over interleaved (set, element) pairs — pairs[2i] a
   /// set id, pairs[2i + 1] its element, the memory layout of an Edge
   /// array: copies, in order, the pairs whose set & mask == value to

@@ -1,10 +1,10 @@
 // Cross-name equivalence for RunConfig::backend. For every shardable
 // algorithm: (a) "inprocess" and "sharded" produce bit-identical
 // covers, certificates, and counters at W = 1; (b) the checkpoint
-// sidecars they write mid-run are byte-identical files at W = 1 (plain
-// SCKP), and a W = 3 run writes an SCSH sidecar. Plus: multi-pass
-// stream schedules as composable sources, the W > 1 Session push-side
-// counterpart, and name dispatch.
+// sidecars they write mid-run are byte-identical files at W = 1 (one
+// slot), and a W = 3 run writes its three slots into one file. Plus:
+// multi-pass stream schedules as composable sources, the W > 1 Session
+// push-side counterpart, and name dispatch.
 
 #include <algorithm>
 #include <cstdint>
@@ -109,8 +109,8 @@ TEST_P(BackendSweep, BackendsBitIdenticalAtOneWorker) {
 }
 
 // (b) The checkpoint files themselves: a killed run leaves the same
-// sidecar BYTES under either name — plain SCKP at W = 1, aggregate
-// SCSH at W = 3.
+// sidecar BYTES under either name — one slot at W = 1, three at
+// W = 3.
 TEST_P(BackendSweep, CheckpointSidecarsAreByteIdenticalAcrossBackends) {
   Fixture fixture = MakePlantedFixture(401);
   for (uint32_t workers : {1u, 3u}) {

@@ -36,25 +36,36 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + name;
 }
 
+void WriteBytesTo(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+  std::fclose(out);
+}
+
 TEST(CheckpointTest, RoundTripsEveryField) {
   const std::string path = TempPath("ckpt_roundtrip.sckp");
   Checkpoint original = SampleCheckpoint();
   std::string error;
   ASSERT_TRUE(SaveCheckpoint(original, path, &error)) << error;
 
-  auto loaded = LoadCheckpoint(path, &error);
+  auto loaded = LoadShardedCheckpoint(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->algorithm_name, original.algorithm_name);
-  EXPECT_EQ(loaded->meta.num_sets, original.meta.num_sets);
-  EXPECT_EQ(loaded->meta.num_elements, original.meta.num_elements);
-  EXPECT_EQ(loaded->meta.stream_length, original.meta.stream_length);
-  EXPECT_EQ(loaded->stream_position, original.stream_position);
-  EXPECT_EQ(loaded->edges_delivered, original.edges_delivered);
-  EXPECT_EQ(loaded->transient_retries, original.transient_retries);
-  EXPECT_EQ(loaded->corrupt_skipped, original.corrupt_skipped);
-  EXPECT_EQ(loaded->faults_survived, original.faults_survived);
-  EXPECT_EQ(loaded->session_sequence, original.session_sequence);
-  EXPECT_EQ(loaded->state_words, original.state_words);
+  ASSERT_EQ(loaded->shards, 1u);
+  ASSERT_EQ(loaded->shard_states.size(), 1u);
+  ASSERT_TRUE(loaded->shard_states[0].has_value());
+  const Checkpoint& slot = *loaded->shard_states[0];
+  EXPECT_EQ(slot.algorithm_name, original.algorithm_name);
+  EXPECT_EQ(slot.meta.num_sets, original.meta.num_sets);
+  EXPECT_EQ(slot.meta.num_elements, original.meta.num_elements);
+  EXPECT_EQ(slot.meta.stream_length, original.meta.stream_length);
+  EXPECT_EQ(slot.stream_position, original.stream_position);
+  EXPECT_EQ(slot.edges_delivered, original.edges_delivered);
+  EXPECT_EQ(slot.transient_retries, original.transient_retries);
+  EXPECT_EQ(slot.corrupt_skipped, original.corrupt_skipped);
+  EXPECT_EQ(slot.faults_survived, original.faults_survived);
+  EXPECT_EQ(slot.session_sequence, original.session_sequence);
+  EXPECT_EQ(slot.state_words, original.state_words);
   std::remove(path.c_str());
 }
 
@@ -88,61 +99,95 @@ TEST(CheckpointTest, RefusesVersion1Files) {
   put32(&bytes, Crc32(bytes.data() + 4, bytes.size() - 4));
 
   const std::string path = TempPath("ckpt_v1.sckp");
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
-  std::fclose(out);
+  WriteBytesTo(path, bytes);
 
   std::string error;
-  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 
-// Rewrites the version field (bytes 4..7) of the file at `path` and
-// re-stamps its trailing CRC, so only the version is wrong.
-void RestampVersion(const std::string& path, uint32_t version) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes(1 << 16);
-  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
-  std::fclose(f);
-  ASSERT_GT(bytes.size(), 12u);
-  std::memcpy(bytes.data() + 4, &version, 4);
-  const uint32_t crc = Crc32(bytes.data() + 4, bytes.size() - 8);
-  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
+// The bytes of a pre-version-4 file: `magic`, `version`, then
+// `after_header`, under a CRC-32 of every byte after the magic.
+std::vector<uint8_t> Crc32File(uint32_t magic, uint32_t version,
+                               const std::vector<uint8_t>& after_header) {
+  std::vector<uint8_t> bytes;
+  for (const uint32_t v : {magic, version}) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(uint8_t(v >> (8 * i)));
+  }
+  bytes.insert(bytes.end(), after_header.begin(), after_header.end());
+  const uint32_t crc = Crc32(bytes.data() + 4, bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) bytes.push_back(uint8_t(crc >> (8 * i)));
+  return bytes;
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return bytes;
+  uint8_t buffer[4096];
+  size_t got;
+  while ((got = std::fread(buffer, 1, sizeof buffer, in)) > 0)
+    bytes.insert(bytes.end(), buffer, buffer + got);
+  std::fclose(in);
+  return bytes;
+}
+
+/// The one body of the one-slot file at `path`: version 4 puts shards
+/// and present (8 bytes) between the header and the body.
+std::vector<uint8_t> BodyOf(const std::string& path) {
+  const std::vector<uint8_t> bytes = ReadFile(path);
+  if (bytes.size() < 20) return {};
+  return std::vector<uint8_t>(bytes.begin() + 16, bytes.end() - 4);
 }
 
 TEST(CheckpointTest, RefusesVersion2Files) {
-  // SCKP v2 has v3's layout, but its adversarial-level state lacks the
-  // promotion countdown word: a CRC-intact v2 file is refused by
-  // version, never decoded.
+  // SCKP v2 has v3's unslotted layout, but its adversarial-level state
+  // lacks the promotion countdown word: a CRC-intact v2 file is refused
+  // by version, never decoded.
   const std::string path = TempPath("ckpt_v2.sckp");
   std::string error;
   ASSERT_TRUE(SaveCheckpoint(SampleCheckpoint(), path, &error)) << error;
-  RestampVersion(path, 2);
-  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
-  EXPECT_NE(error.find("version 2 is not supported"), std::string::npos)
+  WriteBytesTo(path, Crc32File(0x504B4353u, 2, BodyOf(path)));
+  EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("checkpoint format version 2 is not supported"),
+            std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, RefusesVersion3Files) {
+  // SCKP v3 is the one-body file under a CRC-32 that W = 1 runs and
+  // sessions wrote before version 4; it is refused by version.
+  const std::string path = TempPath("ckpt_v3.sckp");
+  std::string error;
+  ASSERT_TRUE(SaveCheckpoint(SampleCheckpoint(), path, &error)) << error;
+  WriteBytesTo(path, Crc32File(0x504B4353u, 3, BodyOf(path)));
+  EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("checkpoint format version 3 is not supported"),
+            std::string::npos)
       << error;
   std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, RefusesShardedVersion1Files) {
+  // The retired "SCSH" multi-slot format (versions 1 and 2, CRC-32 and
+  // a partitioner name) is refused as SCSH, with its version — a server
+  // state dir may still hold such a sidecar.
   const std::string path = TempPath("ckpt_v1.scsh");
-  ShardedCheckpoint sharded;
-  sharded.shards = 2;
-  sharded.partitioner = "set-mod";
-  sharded.shard_states = {SampleCheckpoint(), std::nullopt};
   std::string error;
-  ASSERT_TRUE(SaveShardedCheckpoint(sharded, path, &error)) << error;
-  RestampVersion(path, 1);
-  EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
-  EXPECT_NE(error.find("version 1 is not supported"), std::string::npos)
-      << error;
+  // Two shards, the 7-byte partitioner name "set-mod", two absent slots.
+  std::vector<uint8_t> after_header = {2, 0, 0, 0, 7, 0, 0, 0};
+  for (char c : std::string("set-mod")) after_header.push_back(uint8_t(c));
+  after_header.resize(after_header.size() + 8, 0);
+  for (const uint32_t version : {1u, 2u}) {
+    WriteBytesTo(path, Crc32File(0x48534353u, version, after_header));
+    EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
+    EXPECT_NE(error.find("SCSH checkpoint format version " +
+                         std::to_string(version) + " is not supported"),
+              std::string::npos)
+        << error;
+  }
   std::remove(path.c_str());
 }
 
@@ -158,7 +203,7 @@ TEST(CheckpointTest, RejectsUnknownFutureVersion) {
   uint32_t future = 99;
   ASSERT_EQ(std::fwrite(&future, 1, 4, f), 4u);
   std::fclose(f);
-  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
   std::remove(path.c_str());
 }
 
@@ -184,7 +229,7 @@ TEST(CheckpointTest, RejectsEveryCorruptedByte) {
   std::vector<uint8_t> bytes(1 << 16);
   bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
   std::fclose(f);
-  ASSERT_GT(bytes.size(), 12u);
+  ASSERT_GT(bytes.size(), 16u);
 
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::vector<uint8_t> damaged = bytes;
@@ -194,7 +239,7 @@ TEST(CheckpointTest, RejectsEveryCorruptedByte) {
     ASSERT_EQ(std::fwrite(damaged.data(), 1, damaged.size(), out),
               damaged.size());
     std::fclose(out);
-    EXPECT_FALSE(LoadCheckpoint(path, &error).has_value())
+    EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value())
         << "byte " << i << " corruption went undetected";
   }
   std::remove(path.c_str());
@@ -211,13 +256,13 @@ TEST(CheckpointTest, RejectsTruncation) {
   bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
   std::fclose(f);
 
-  for (size_t keep : {size_t{0}, size_t{4}, size_t{11}, bytes.size() / 2,
-                      bytes.size() - 1}) {
+  for (size_t keep : {size_t{0}, size_t{4}, size_t{11}, size_t{15},
+                      bytes.size() / 2, bytes.size() - 1}) {
     std::FILE* out = std::fopen(path.c_str(), "wb");
     ASSERT_NE(out, nullptr);
     ASSERT_EQ(std::fwrite(bytes.data(), 1, keep, out), keep);
     std::fclose(out);
-    EXPECT_FALSE(LoadCheckpoint(path, &error).has_value())
+    EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value())
         << "truncation to " << keep << " bytes went undetected";
   }
   std::remove(path.c_str());
@@ -252,19 +297,7 @@ void RefBody(std::vector<uint8_t>* out, const Checkpoint& checkpoint) {
 }
 
 std::vector<uint8_t> RefWithCrc(std::vector<uint8_t> bytes) {
-  RefU32(&bytes, Crc32(bytes.data() + 4, bytes.size() - 4));
-  return bytes;
-}
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return bytes;
-  uint8_t buffer[4096];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof buffer, in)) > 0)
-    bytes.insert(bytes.end(), buffer, buffer + got);
-  std::fclose(in);
+  RefU32(&bytes, Crc32c(bytes.data() + 4, bytes.size() - 4));
   return bytes;
 }
 
@@ -291,18 +324,19 @@ TEST(CheckpointTest, SckpBytesMatchThePerByteEncoder) {
     ASSERT_TRUE(SaveCheckpoint(checkpoint, path, &error)) << error;
     std::vector<uint8_t> expected;
     RefU32(&expected, 0x504B4353u);  // "SCKP"
-    RefU32(&expected, 3);
+    RefU32(&expected, 4);
+    RefU32(&expected, 1);  // shards
+    RefU32(&expected, 1);  // present
     RefBody(&expected, checkpoint);
     EXPECT_EQ(ReadFile(path), RefWithCrc(expected)) << words << " words";
   }
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, ScshBytesMatchThePerByteEncoder) {
-  const std::string path = TempPath("ckpt_bytes.scsh");
+TEST(CheckpointTest, ShardedBytesMatchThePerByteEncoder) {
+  const std::string path = TempPath("ckpt_bytes_sharded.sckp");
   ShardedCheckpoint sharded;
   sharded.shards = 6;
-  sharded.partitioner = "set-modulo";
   // Every tested size, with absent slots at both ends and in between.
   sharded.shard_states = {std::nullopt,
                           CheckpointWithWords(0, 1),
@@ -317,11 +351,9 @@ TEST(CheckpointTest, ScshBytesMatchThePerByteEncoder) {
     std::string error;
     ASSERT_TRUE(SaveShardedCheckpoint(sharded, path, &error)) << error;
     std::vector<uint8_t> expected;
-    RefU32(&expected, 0x48534353u);  // "SCSH"
-    RefU32(&expected, 2);
+    RefU32(&expected, 0x504B4353u);  // "SCKP"
+    RefU32(&expected, 4);
     RefU32(&expected, sharded.shards);
-    RefU32(&expected, uint32_t(sharded.partitioner.size()));
-    for (char c : sharded.partitioner) expected.push_back(uint8_t(c));
     for (const std::optional<Checkpoint>& slot : sharded.shard_states) {
       RefU32(&expected, slot.has_value() ? 1 : 0);
       if (slot.has_value()) RefBody(&expected, *slot);
@@ -334,7 +366,7 @@ TEST(CheckpointTest, ScshBytesMatchThePerByteEncoder) {
 TEST(CheckpointTest, MissingFileIsAnError) {
   std::string error;
   EXPECT_FALSE(
-      LoadCheckpoint(TempPath("ckpt_does_not_exist.sckp"), &error)
+      LoadShardedCheckpoint(TempPath("ckpt_does_not_exist.sckp"), &error)
           .has_value());
   EXPECT_FALSE(error.empty());
 }

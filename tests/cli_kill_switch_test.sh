@@ -26,9 +26,9 @@ for algorithm in kk adversarial-level random-order; do
     exit 1
   fi
   stop=$((edges * 3 / 4))
-  rm -f "$work/c.scsh"
+  rm -f "$work/c.sckp"
   killed=$("$cli" solve-stream --stream="$work/s.bin" --algorithm="$algorithm" \
-    --seed=9 --shards=4 --checkpoint="$work/c.scsh" --checkpoint-every=500 \
+    --seed=9 --shards=4 --checkpoint="$work/c.sckp" --checkpoint-every=500 \
     --stop-after="$stop")
   if ! grep -q "^stopped: *after $stop edges" <<<"$killed"; then
     echo "$algorithm: --stop-after=$stop of $edges did not stop the W = 4 run:"
@@ -36,7 +36,7 @@ for algorithm in kk adversarial-level random-order; do
     exit 1
   fi
   resumed=$("$cli" solve-stream --stream="$work/s.bin" --algorithm="$algorithm" \
-    --seed=9 --shards=4 --checkpoint="$work/c.scsh" --checkpoint-every=500 \
+    --seed=9 --shards=4 --checkpoint="$work/c.sckp" --checkpoint-every=500 \
     --resume)
   for field in "cover size" "witnessed" "shard edges" "merge msg"; do
     want=$(grep "^$field:" <<<"$full")

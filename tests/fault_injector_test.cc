@@ -323,46 +323,34 @@ TEST(ShardFilterSourceTest, ShardsMatchAtEveryBatchSize) {
   const FaultSchedule schedule = FaultSchedule::AllKinds(23, 0.05);
   const std::vector<Event> whole =
       DrainAtEveryBatchSize(Injected(stream, schedule)).events;
-  engine::ShardPartitioner set_div;
-  set_div.name = "set-div";
-  set_div.index = [](SetId s, uint32_t shards) { return (s / 7) % shards; };
-  for (const engine::ShardPartitioner& partitioner :
-       {engine::SetModuloPartitioner(), set_div}) {
-    for (uint32_t shards : {2u, 3u, 4u}) {
-      size_t records = 0;
-      for (uint32_t shard = 0; shard < shards; ++shard) {
-        struct FilteredStack {
-          FilteredStack(const EdgeStream& stream,
-                        const FaultSchedule& schedule, uint32_t shard,
-                        uint32_t shards,
-                        const engine::ShardPartitioner& partitioner)
-              : injected(stream, schedule),
-                filter(&injected.injector, shard, shards, partitioner) {}
-          EdgeSource& top() { return filter; }
-          InjectedStack injected;
-          engine::internal::ShardFilterSource filter;
-        };
-        const Trace trace = DrainAtEveryBatchSize([&] {
-          return std::make_unique<FilteredStack>(stream, schedule, shard,
-                                                 shards, partitioner);
-        });
-        for (const auto& [status, set, element] : trace.events) {
-          if (status == ReadStatus::kOk || status == ReadStatus::kCorrupt) {
-            ++records;
-            const uint32_t owner = partitioner.index
-                                       ? partitioner.index(set, shards)
-                                       : set % shards;
-            EXPECT_EQ(owner, shard);
-          }
+  for (uint32_t shards : {2u, 3u, 4u}) {
+    size_t records = 0;
+    for (uint32_t shard = 0; shard < shards; ++shard) {
+      struct FilteredStack {
+        FilteredStack(const EdgeStream& stream, const FaultSchedule& schedule,
+                      uint32_t shard, uint32_t shards)
+            : injected(stream, schedule),
+              filter(&injected.injector, shard, shards) {}
+        EdgeSource& top() { return filter; }
+        InjectedStack injected;
+        engine::internal::ShardFilterSource filter;
+      };
+      const Trace trace = DrainAtEveryBatchSize([&] {
+        return std::make_unique<FilteredStack>(stream, schedule, shard,
+                                               shards);
+      });
+      for (const auto& [status, set, element] : trace.events) {
+        if (status == ReadStatus::kOk || status == ReadStatus::kCorrupt) {
+          ++records;
+          EXPECT_EQ(set % shards, shard);
         }
       }
-      size_t whole_records = 0;
-      for (const auto& [status, set, element] : whole)
-        whole_records += status == ReadStatus::kOk ||
-                         status == ReadStatus::kCorrupt;
-      EXPECT_EQ(records, whole_records)
-          << partitioner.name << " W=" << shards;
     }
+    size_t whole_records = 0;
+    for (const auto& [status, set, element] : whole)
+      whole_records += status == ReadStatus::kOk ||
+                       status == ReadStatus::kCorrupt;
+    EXPECT_EQ(records, whole_records) << "W=" << shards;
   }
 }
 

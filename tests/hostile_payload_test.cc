@@ -623,6 +623,12 @@ std::vector<HostileFile> HostileFiles() {
   files.push_back(
       {"n_two_to_64_minus_1", Verdict::kDegraded,
        Edited(HeaderN([](uint64_t) { return ~uint64_t{0}; }))});
+  // N = 2^50: far past the m·n = 2048 incidences the set system can
+  // hold, so nothing N sizes (random-order-sketch's Count-Min width
+  // included) may grow with it.
+  files.push_back(
+      {"n_two_to_50", Verdict::kDegraded,
+       Edited(HeaderN([](uint64_t) { return uint64_t{1} << 50; }))});
   static const EdgeStream one_edge{{64, 32, 1}, {{5, 7}}};
   files.push_back(
       {"one_edge_n_two_to_64_minus_1", Verdict::kDegraded,

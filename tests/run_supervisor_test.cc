@@ -50,8 +50,7 @@ std::string CheckpointPath(const std::string& tag) {
 // The kill half of a sweep: `algorithm` at `seed` over `source`, with a
 // checkpoint into `path` every `every` edges, killed at stream position
 // `stop`. The kill switch is a layer of engine::Execute's stack (under
-// its fault injector, so the point is exact); each resume half drives a
-// fresh object through engine::Drive.
+// its fault injector, so the point is exact).
 engine::RunReport RunAndKill(const std::string& algorithm, uint64_t seed,
                              engine::SourceSpec source,
                              std::optional<FaultSchedule> faults,
@@ -65,6 +64,22 @@ engine::RunReport RunAndKill(const std::string& algorithm, uint64_t seed,
   config.checkpoint.path = path;
   config.checkpoint.every = every;
   config.stop_after = stop;
+  return engine::Execute(config);
+}
+
+// The resume half: a fresh, differently seeded `algorithm` object
+// restored from the checkpoint at `path` and driven over `source` (with
+// `faults`) to the end, through engine::Execute.
+engine::RunReport Resume(StreamingSetCoverAlgorithm& algorithm,
+                         engine::SourceSpec source,
+                         std::optional<FaultSchedule> faults,
+                         const std::string& path) {
+  engine::RunConfig config;
+  config.algorithm_instance = &algorithm;
+  config.source = std::move(source);
+  config.faults = std::move(faults);
+  config.checkpoint.path = path;
+  config.checkpoint.resume = true;
   return engine::Execute(config);
 }
 
@@ -113,12 +128,9 @@ TEST_P(SupervisorSweep, KillAndResumeIsBitIdentical) {
 
     // Phase 2: fresh object, fresh source, resume, replay the tail.
     auto revived = MakeAlgorithmByName(GetParam(), {.seed = 999});
-    VectorEdgeSource revived_source(fixture.stream);
-    engine::DriveOptions resume_options;
-    resume_options.checkpoint_path = path;
-    resume_options.resume = true;
     engine::RunReport resumed =
-        engine::Drive(resume_options, *revived, revived_source);
+        Resume(*revived, engine::SourceSpec::InMemory(fixture.stream),
+               std::nullopt, path);
     ASSERT_TRUE(resumed.completed)
         << GetParam() << " k=" << k << ": " << resumed.error;
     EXPECT_TRUE(resumed.resumed);
@@ -157,13 +169,9 @@ TEST_P(SupervisorSweep, KillAndResumeUnderFaultsIsBitIdentical) {
 
   // Phase 2: resume over an identically-faulty fresh source.
   auto revived = MakeAlgorithmByName(GetParam(), {.seed = 999});
-  VectorEdgeSource revived_base(fixture.stream);
-  FaultInjector revived_source(&revived_base, schedule);
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = path;
-  resume_options.resume = true;
   engine::RunReport resumed =
-      engine::Drive(resume_options, *revived, revived_source);
+      Resume(*revived, engine::SourceSpec::InMemory(fixture.stream),
+             schedule, path);
   ASSERT_TRUE(resumed.completed) << GetParam() << ": " << resumed.error;
   EXPECT_TRUE(resumed.resumed);
 
@@ -222,14 +230,10 @@ TEST(RunSupervisorTest, KillAndResumeOverAnOnDiskStreamFile) {
   ASSERT_FALSE(killed.completed);
   ASSERT_GT(killed.checkpoints_written, 0u);
 
-  auto revived_source = StreamFileSource::Open(stream_path, &error);
-  ASSERT_NE(revived_source, nullptr) << error;
   auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = ckpt_path;
-  resume_options.resume = true;
   engine::RunReport resumed =
-      engine::Drive(resume_options, *revived, *revived_source);
+      Resume(*revived, engine::SourceSpec::File(stream_path), std::nullopt,
+             ckpt_path);
   ASSERT_TRUE(resumed.completed) << resumed.error;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.resumed_at, 5000u);
@@ -287,15 +291,10 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
       ASSERT_FALSE(killed.completed) << label;
       ASSERT_GT(killed.checkpoints_written, 0u) << label;
 
-      auto revived_source =
-          StreamFileSource::Open(stream_path, resume_options_read, &error);
-      ASSERT_NE(revived_source, nullptr) << error;
       auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
-      engine::DriveOptions resume_options;
-      resume_options.checkpoint_path = ckpt_path;
-      resume_options.resume = true;
-      engine::RunReport resumed =
-          engine::Drive(resume_options, *revived, *revived_source);
+      engine::RunReport resumed = Resume(
+          *revived, engine::SourceSpec::File(stream_path, resume_options_read),
+          std::nullopt, ckpt_path);
       ASSERT_TRUE(resumed.completed) << label << ": " << resumed.error;
       EXPECT_TRUE(resumed.resumed) << label;
       EXPECT_EQ(resumed.resumed_at, 5000u) << label;
@@ -436,12 +435,9 @@ TEST(RunSupervisorTest, RejectsCorruptedCheckpoint) {
   std::fclose(f);
 
   auto revived = MakeAlgorithmByName("kk", {.seed = 3});
-  VectorEdgeSource revived_source(fixture.stream);
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = path;
-  resume_options.resume = true;
   engine::RunReport report =
-      engine::Drive(resume_options, *revived, revived_source);
+      Resume(*revived, engine::SourceSpec::InMemory(fixture.stream),
+             std::nullopt, path);
   EXPECT_FALSE(report.completed);
   EXPECT_FALSE(report.error.empty());
   std::remove(path.c_str());
@@ -455,12 +451,9 @@ TEST(RunSupervisorTest, RejectsCheckpointFromAnotherAlgorithm) {
              std::nullopt, path, 20, 20);
 
   auto other = MakeAlgorithmByName("first-set-patching", {.seed = 3});
-  VectorEdgeSource other_source(fixture.stream);
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = path;
-  resume_options.resume = true;
   engine::RunReport report =
-      engine::Drive(resume_options, *other, other_source);
+      Resume(*other, engine::SourceSpec::InMemory(fixture.stream),
+             std::nullopt, path);
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.error.find("kk"), std::string::npos);
   std::remove(path.c_str());
@@ -476,13 +469,14 @@ TEST(RunSupervisorTest, NeverCheckpointsWhileSourceOwesAReplay) {
   schedule.seed = 3;
   schedule.duplicate_rate = 1.0;
 
-  VectorEdgeSource base(fixture.stream);
-  FaultInjector source(&base, schedule);
-  auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  engine::DriveOptions options;
-  options.checkpoint_path = path;
-  options.checkpoint_every = 1;
-  engine::RunReport report = engine::Drive(options, *algorithm, source);
+  engine::RunConfig config;
+  config.algorithm = "kk";
+  config.options.seed = 3;
+  config.source = engine::SourceSpec::InMemory(fixture.stream);
+  config.faults = schedule;
+  config.checkpoint.path = path;
+  config.checkpoint.every = 1;
+  engine::RunReport report = engine::Execute(config);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_EQ(report.edges_delivered, 2 * fixture.stream.size());

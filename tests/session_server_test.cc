@@ -710,6 +710,38 @@ TEST(SessionEviction, VolatileSessionsAreNeverEvicted) {
   EXPECT_EQ(harness.manager->OpenSessions(), 1u);
 }
 
+// A manifest that does not decode is one error on both recovery paths:
+// kOpen and a session op that names the id answer kError with the same
+// text, nothing is registered, and the manager goes on serving.
+TEST(SessionRecovery, CorruptManifestIsOneErrorForOpenAndIngest) {
+  Fixture fixture = MakeFixture(241);
+  const std::string algorithm = RegisteredAlgorithmNames().front();
+  EvictionHarness harness("corrupt_manifest");
+  {
+    std::FILE* out = std::fopen((harness.dir + "/5.open").c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    std::fputs("not an encoded kOpen frame", out);
+    std::fclose(out);
+  }
+
+  const OpenBody open = MakeOpen(algorithm, 21, fixture);
+  const Message opened = harness.manager->Handle(OpenMessage(5, open));
+  ASSERT_EQ(opened.type, MessageType::kError);
+  EXPECT_EQ(opened.error.rfind("corrupt session manifest: ", 0), 0u)
+      << opened.error;
+  const Message ingested =
+      harness.manager->Handle(IngestMessage(5, 1, fixture.stream.edges));
+  ASSERT_EQ(ingested.type, MessageType::kError);
+  EXPECT_EQ(ingested.error, opened.error);
+  EXPECT_EQ(harness.manager->OpenSessions(), 0u);
+
+  ASSERT_EQ(harness.manager->Handle(OpenMessage(6, open)).type,
+            MessageType::kOpenOk);
+  EXPECT_EQ(
+      harness.manager->Handle(IngestMessage(6, 1, fixture.stream.edges)).type,
+      MessageType::kIngestOk);
+}
+
 // A workers = 3 session evicts and recovers like a single-pipeline one:
 // the retry rebuilds all three pipelines from the sidecar at one cursor,
 // the run ends at the W = 3 oracle, and kClose removes every file the

@@ -5,11 +5,11 @@
 // within the deterministic protocol's 2*sqrt(n*W) factor of greedy on
 // a Table-1 planted instance, and the merge's largest message stays
 // within the recorded O~(n) bound; (c) kill-and-resume mid-ingest
-// through the ONE aggregate checkpoint file reproduces the unkilled
-// run byte-for-byte. Plus: thread-count invisibility, file/in-memory
-// agreement, the fast loops against the supervised path under every
-// owner, the partitioner seam, the certificate merge against its
-// reference candidate build, and the sharded checkpoint format itself.
+// through the ONE checkpoint file reproduces the unkilled run
+// byte-for-byte. Plus: file/in-memory agreement, the fast loops against
+// the supervised path under every owner of the set-modulo split, the
+// W guard on resume, the certificate merge against its reference
+// candidate build, and the W-slot checkpoint format itself.
 
 #include <unistd.h>
 
@@ -167,14 +167,14 @@ TEST_P(ShardedSweep, MergedCoverAndMessageWithinProtocolBounds) {
 }
 
 // (c) Kill-and-resume mid-ingest: a run killed at stream position
-// ⌈N/2⌉, then resumed from the ONE checkpoint file (aggregate SCSH at
-// W > 1), must finish byte-for-byte identical to the unkilled run — at
-// every W, including W=7 where the slices are lopsided. The kill point
+// ⌈N/2⌉, then resumed from the ONE checkpoint file (W slots), must
+// finish byte-for-byte identical to the unkilled run — at every W,
+// including W=7 where the slices are lopsided. The kill point
 // means the same at every W: the shards stop at one stream prefix, so
 // together they took exactly its ⌈N/2⌉ edges.
 TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
   Fixture fixture = MakePlantedFixture(301);
-  const std::string path = TempPath("resume_" + GetParam() + ".scsh");
+  const std::string path = TempPath("resume_" + GetParam() + ".sckp");
   const uint64_t half = (fixture.stream.size() + 1) / 2;
 
   for (uint32_t shards : {1u, 2u, 4u, 7u}) {
@@ -196,19 +196,14 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
     ASSERT_GE(killed.checkpoints_written, uint64_t{shards}) << context;
     std::string error;
     uint64_t earliest = UINT64_MAX;
-    if (shards == 1) {
-      const std::optional<Checkpoint> slot = LoadCheckpoint(path, &error);
-      ASSERT_TRUE(slot.has_value()) << context << ": " << error;
-      earliest = slot->stream_position;
-    } else {
-      const std::optional<ShardedCheckpoint> slots =
-          LoadShardedCheckpoint(path, &error);
-      ASSERT_TRUE(slots.has_value()) << context << ": " << error;
-      for (const std::optional<Checkpoint>& slot : slots->shard_states) {
-        ASSERT_TRUE(slot.has_value()) << context;
-        EXPECT_LE(slot->stream_position, half) << context;
-        earliest = std::min<uint64_t>(earliest, slot->stream_position);
-      }
+    const std::optional<ShardedCheckpoint> slots =
+        LoadShardedCheckpoint(path, &error);
+    ASSERT_TRUE(slots.has_value()) << context << ": " << error;
+    ASSERT_EQ(slots->shards, shards) << context;
+    for (const std::optional<Checkpoint>& slot : slots->shard_states) {
+      ASSERT_TRUE(slot.has_value()) << context;
+      EXPECT_LE(slot->stream_position, half) << context;
+      earliest = std::min<uint64_t>(earliest, slot->stream_position);
     }
 
     engine::RunConfig resume = base;
@@ -232,12 +227,11 @@ TEST_P(ShardedSweep, KillAndResumeReproducesUnkilledRun) {
 }
 
 // The W > 1 fast loops against the supervised reference, under every
-// owner the fast loops specialise on: the mask (W = 2, 4, 8), the
-// modulo (W = 3) and a custom partitioner (W = 3), from memory and from
-// a v3 file. A kill switch past the end of the stream sends the same
-// config through Drive + ShardFilterSource, which cuts each shard's
-// slice at the same batch boundaries, so every report field those
-// boundaries reach must agree.
+// owner the fast loops specialise on: the mask (W = 2, 4, 8) and the
+// modulo (W = 3), from memory and from a v3 file. A kill switch past
+// the end of the stream sends the same config through Drive +
+// ShardFilterSource, which cuts each shard's slice at the same batch
+// boundaries, so every report field those boundaries reach must agree.
 TEST_P(ShardedSweep, FastLoopMatchesSupervisedAtEveryOwner) {
   Rng rng(331);
   PlantedCoverParams p;
@@ -252,25 +246,13 @@ TEST_P(ShardedSweep, FastLoopMatchesSupervisedAtEveryOwner) {
       WriteStreamFile(fixture.stream, path, StreamFormat::kV3, &error))
       << error;
 
-  engine::ShardPartitioner set_div;
-  set_div.name = "set-div";
-  set_div.index = [](SetId s, uint32_t shards) { return (s / 7) % shards; };
-  const std::pair<uint32_t, engine::ShardPartitioner> owners[] = {
-      {2, engine::SetModuloPartitioner()},
-      {3, engine::SetModuloPartitioner()},
-      {4, engine::SetModuloPartitioner()},
-      {8, engine::SetModuloPartitioner()},
-      {3, set_div},
-  };
   for (const bool from_file : {false, true}) {
-    for (const auto& [shards, partitioner] : owners) {
+    for (const uint32_t shards : {2u, 3u, 4u, 8u}) {
       const std::string context = GetParam() + " W=" +
-                                  std::to_string(shards) + " " +
-                                  partitioner.name +
+                                  std::to_string(shards) +
                                   (from_file ? " file" : " memory");
       engine::RunConfig fast =
           BaseConfig(GetParam(), fixture.stream, shards);
-      fast.backend.partitioner = partitioner;
       if (from_file) fast.source = engine::SourceSpec::File(path);
       engine::RunConfig supervised = fast;
       supervised.stop_after = fixture.stream.size() + 1;
@@ -299,25 +281,6 @@ TEST_P(ShardedSweep, FastLoopMatchesSupervisedAtEveryOwner) {
     }
   }
   std::remove(path.c_str());
-}
-
-// The thread-pool width is an execution detail: W=4 shards on 1 thread
-// and on 4 threads must produce identical reports.
-TEST_P(ShardedSweep, ThreadCountIsObservationallyInvisible) {
-  Fixture fixture = MakePlantedFixture(301);
-  engine::RunConfig wide = BaseConfig(GetParam(), fixture.stream, 4);
-  wide.backend.threads = 4;
-  engine::RunConfig narrow = wide;
-  narrow.backend.threads = 1;
-
-  engine::RunReport a = engine::Execute(wide);
-  engine::RunReport b = engine::Execute(narrow);
-  ASSERT_TRUE(a.completed) << a.error;
-  ASSERT_TRUE(b.completed) << b.error;
-  ExpectSameSolution(a, b, GetParam());
-  EXPECT_EQ(a.peak_words, b.peak_words) << GetParam();
-  EXPECT_EQ(a.sharded.max_message_words, b.sharded.max_message_words)
-      << GetParam();
 }
 
 std::string TestName(const testing::TestParamInfo<std::string>& info) {
@@ -355,62 +318,32 @@ TEST(ShardedEngineTest, FileShardsMatchInMemoryShards) {
   std::remove(path.c_str());
 }
 
-// The partitioner seam: a custom pure function routes sets differently
-// but the merged result must still be a valid cover, and its name is
-// enforced on resume.
-TEST(ShardedEngineTest, CustomPartitionerRunsAndGuardsResume) {
-  Fixture fixture = MakePlantedFixture(301);
-  engine::RunConfig config = BaseConfig("kk", fixture.stream, 3);
-  config.backend.partitioner.name = "set-div";
-  config.backend.partitioner.index = [](SetId s, uint32_t shards) {
-    return (s / 7) % shards;
-  };
-  config.validate = &fixture.instance;
-  engine::RunReport report = engine::Execute(config);
-  ASSERT_TRUE(report.completed) << report.error;
-  EXPECT_TRUE(report.validation.ok) << report.validation.error;
-
-  // Write a checkpoint under the custom partitioner, then try to resume
-  // under the default one: refused, the cursors would replay the wrong
-  // slices.
-  const std::string path = TempPath("partitioner.scsh");
-  engine::RunConfig kill = config;
-  kill.validate = nullptr;
-  kill.checkpoint.path = path;
-  kill.checkpoint.every = 10;
-  kill.stop_after = fixture.stream.size() / 2;
-  ASSERT_TRUE(engine::Execute(kill).error.empty());
-
-  engine::RunConfig wrong = kill;
-  wrong.stop_after = 0;
-  wrong.checkpoint.resume = true;
-  wrong.backend.partitioner = engine::SetModuloPartitioner();
-  engine::RunReport refused = engine::Execute(wrong);
-  EXPECT_FALSE(refused.completed);
-  EXPECT_NE(refused.error.find("partitioned by 'set-div'"),
-            std::string::npos)
-      << refused.error;
-  std::remove(path.c_str());
-}
-
-// Resuming a W=4 checkpoint at W=2 is refused — the slot cursors only
-// mean anything at the W they were written at.
+// Resuming a checkpoint at another W is refused — the slot cursors
+// only mean anything at the W they were written at — W = 1 included,
+// whose file has the same format with one slot.
 TEST(ShardedEngineTest, ResumeAtDifferentShardCountIsRefused) {
   Fixture fixture = MakePlantedFixture(301);
-  const std::string path = TempPath("wrong_w.scsh");
-  engine::RunConfig kill = BaseConfig("kk", fixture.stream, 4);
-  kill.checkpoint.path = path;
-  kill.checkpoint.every = 10;
-  kill.stop_after = fixture.stream.size() / 2;
-  ASSERT_TRUE(engine::Execute(kill).error.empty());
+  const std::string path = TempPath("wrong_w.sckp");
+  const std::pair<uint32_t, uint32_t> pairs[] = {{4, 2}, {4, 1}, {1, 2}};
+  for (const auto& [written, resumed] : pairs) {
+    const std::string context = "W=" + std::to_string(written) + " -> W=" +
+                                std::to_string(resumed);
+    engine::RunConfig kill = BaseConfig("kk", fixture.stream, written);
+    kill.checkpoint.path = path;
+    kill.checkpoint.every = 10;
+    kill.stop_after = fixture.stream.size() / 2;
+    ASSERT_TRUE(engine::Execute(kill).error.empty()) << context;
 
-  engine::RunConfig wrong = BaseConfig("kk", fixture.stream, 2);
-  wrong.checkpoint.path = path;
-  wrong.checkpoint.resume = true;
-  engine::RunReport refused = engine::Execute(wrong);
-  EXPECT_FALSE(refused.completed);
-  EXPECT_NE(refused.error.find("4-shard run"), std::string::npos)
-      << refused.error;
+    engine::RunConfig wrong = BaseConfig("kk", fixture.stream, resumed);
+    wrong.checkpoint.path = path;
+    wrong.checkpoint.resume = true;
+    engine::RunReport refused = engine::Execute(wrong);
+    EXPECT_FALSE(refused.completed) << context;
+    EXPECT_NE(refused.error.find("written by a " + std::to_string(written) +
+                                 "-shard run"),
+              std::string::npos)
+        << context << ": " << refused.error;
+  }
   std::remove(path.c_str());
 }
 
@@ -437,13 +370,12 @@ TEST(ShardedEngineTest, RejectsNonShardableAndInstanceConfigs) {
       << rejected.error;
 }
 
-// The "SCSH" aggregate format round-trips any combination of present
+// The W-slot checkpoint format round-trips any combination of present
 // and missing slots, and rejects damaged bytes instead of resuming
 // from garbage.
 TEST(ShardedCheckpointTest, RoundTripAndDamageRejection) {
   ShardedCheckpoint aggregate;
   aggregate.shards = 3;
-  aggregate.partitioner = "set-mod";
   aggregate.shard_states.resize(3);
   Checkpoint slot;
   slot.algorithm_name = "kk";
@@ -456,14 +388,13 @@ TEST(ShardedCheckpointTest, RoundTripAndDamageRejection) {
   slot.stream_position = 121;
   aggregate.shard_states[2] = slot;  // slot 1 stays missing
 
-  const std::string path = TempPath("roundtrip.scsh");
+  const std::string path = TempPath("roundtrip.sckp");
   std::string error;
   ASSERT_TRUE(SaveShardedCheckpoint(aggregate, path, &error)) << error;
   std::optional<ShardedCheckpoint> loaded =
       LoadShardedCheckpoint(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->shards, 3u);
-  EXPECT_EQ(loaded->partitioner, "set-mod");
   ASSERT_EQ(loaded->shard_states.size(), 3u);
   ASSERT_TRUE(loaded->shard_states[0].has_value());
   EXPECT_FALSE(loaded->shard_states[1].has_value());
@@ -492,10 +423,17 @@ TEST(ShardedCheckpointTest, RoundTripAndDamageRejection) {
   EXPECT_FALSE(LoadShardedCheckpoint(path, &error).has_value());
   EXPECT_FALSE(error.empty());
 
-  // A single-run "SCKP" file is not a sharded checkpoint.
+  // A single pipeline's file is the same format with one slot.
   const std::string single_path = TempPath("single.sckp");
   ASSERT_TRUE(SaveCheckpoint(slot, single_path, &error)) << error;
-  EXPECT_FALSE(LoadShardedCheckpoint(single_path, &error).has_value());
+  std::optional<ShardedCheckpoint> single =
+      LoadShardedCheckpoint(single_path, &error);
+  ASSERT_TRUE(single.has_value()) << error;
+  EXPECT_EQ(single->shards, 1u);
+  ASSERT_EQ(single->shard_states.size(), 1u);
+  ASSERT_TRUE(single->shard_states[0].has_value());
+  EXPECT_EQ(single->shard_states[0]->stream_position, 121u);
+  EXPECT_EQ(single->shard_states[0]->state_words, slot.state_words);
 
   std::remove(path.c_str());
   std::remove((path + ".bad").c_str());
@@ -506,8 +444,7 @@ TEST(ShardedCheckpointTest, RoundTripAndDamageRejection) {
 // set to candidate, one element vector per candidate, and FromSets.
 // The merge must reproduce it exactly.
 engine::internal::CertificateMerge ReferenceMerge(
-    const std::vector<const CoverSolution*>& locals, uint32_t parties,
-    uint32_t merge_threshold_override) {
+    const std::vector<const CoverSolution*>& locals, uint32_t parties) {
   engine::internal::CertificateMerge merge;
   const uint32_t n = uint32_t(locals.empty() ? 0
                                              : locals[0]->certificate.size());
@@ -531,9 +468,7 @@ engine::internal::CertificateMerge ReferenceMerge(
     }
   }
   const uint32_t tau =
-      merge_threshold_override != 0
-          ? merge_threshold_override
-          : std::max<uint32_t>(1, uint32_t(ISqrt(uint64_t(n) * parties)));
+      std::max<uint32_t>(1, uint32_t(ISqrt(uint64_t(n) * parties)));
   merge.merge_threshold = tau;
   merge.message_words_bound =
       BitsToWords(n) + n + (tau > 0 ? (n + tau - 1) / tau : 0);
@@ -598,25 +533,21 @@ TEST(MergeCertificatesTest, MatchesReferenceOnRandomCertificates) {
         for (const CoverSolution& solution : solutions) {
           locals.push_back(&solution);
         }
-        for (uint32_t tau : {0u, 2u}) {
-          const std::string context =
-              "W=" + std::to_string(parties) + " n=" + std::to_string(n) +
-              " pool=" + std::to_string(pool) +
-              " no_set=" + std::to_string(no_set_percent) +
-              "% tau=" + std::to_string(tau);
-          ExpectSameMerge(
-              engine::internal::MergeCertificates(locals, parties, tau),
-              ReferenceMerge(locals, parties, tau), context);
-        }
+        const std::string context =
+            "W=" + std::to_string(parties) + " n=" + std::to_string(n) +
+            " pool=" + std::to_string(pool) +
+            " no_set=" + std::to_string(no_set_percent) + "%";
+        ExpectSameMerge(engine::internal::MergeCertificates(locals, parties),
+                        ReferenceMerge(locals, parties), context);
       }
     }
   }
 }
 
-// The merge does not rely on the parties' sets being disjoint (a pure
-// partitioner always makes them so): a set certified by two parties is
-// one candidate, owned by the first party that certified it, holding
-// every element either party certified.
+// The merge does not rely on the parties' sets being disjoint (the
+// set-modulo split always makes them so): a set certified by two
+// parties is one candidate, owned by the first party that certified
+// it, holding every element either party certified.
 TEST(MergeCertificatesTest, SetCertifiedByTwoPartiesIsOneCandidate) {
   std::vector<CoverSolution> solutions(2);
   solutions[0].certificate = {4, 4, 6, 6, 6, 6, kNoSet, kNoSet};
@@ -624,8 +555,8 @@ TEST(MergeCertificatesTest, SetCertifiedByTwoPartiesIsOneCandidate) {
   const std::vector<const CoverSolution*> locals = {&solutions[0],
                                                     &solutions[1]};
   const engine::internal::CertificateMerge merge =
-      engine::internal::MergeCertificates(locals, 2, 0);
-  ExpectSameMerge(merge, ReferenceMerge(locals, 2, 0), "shared set");
+      engine::internal::MergeCertificates(locals, 2);
+  ExpectSameMerge(merge, ReferenceMerge(locals, 2), "shared set");
   // τ = √16 = 4. Set 4 is party 0's and holds elements 0–3, two of them
   // certified by party 1, so party 0's turn takes it and set 6 no
   // longer clears τ; owned by party 1, set 4 would lose to set 6.

@@ -108,24 +108,6 @@ TEST(SimdKernelTest, GatherEqualU32MatchesScalarAtEveryTier) {
   }
 }
 
-TEST(SimdKernelTest, PopcountKernelsMatchScalarAtEveryTier) {
-  Rng rng(3);
-  for (simd::Level level : TestableLevels()) {
-    const simd::Kernels& kernels = simd::ForLevel(level);
-    for (size_t count : kSizes) {
-      const std::vector<uint64_t> a = RandomWords(rng, count);
-      const std::vector<uint64_t> b = RandomWords(rng, count);
-      const simd::Kernels& scalar = simd::ForLevel(simd::Level::kScalar);
-      EXPECT_EQ(scalar.popcount_words(a.data(), count),
-                kernels.popcount_words(a.data(), count))
-          << simd::LevelName(level) << " count=" << count;
-      EXPECT_EQ(scalar.popcount_andnot_words(a.data(), b.data(), count),
-                kernels.popcount_andnot_words(a.data(), b.data(), count))
-          << simd::LevelName(level) << " count=" << count;
-    }
-  }
-}
-
 TEST(SimdKernelTest, SelectMaskedPairsMatchesScalarAtEveryTier) {
   Rng rng(6);
   // Every sub-vector remainder, plus a kIngestBatchEdges-sized slice and

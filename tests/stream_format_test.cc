@@ -57,48 +57,34 @@ void FlipByte(const std::string& path, uint64_t offset, uint8_t mask) {
   std::fclose(f);
 }
 
-/// One read path. Every file is read from its mapping, so `mapped` is
-/// always true; it stays a field because ctest names each case by the
-/// config's printed bytes.
-struct ReadConfig {
-  StreamFormat format;
-  bool mapped;
-  bool prefetch;
-};
-
 /// Parallel ctest runs each parameterized case in its own process, so
-/// every config needs its own scratch file.
-std::string ConfigPath(const char* base, const ReadConfig& config) {
-  return TempPath(std::string(base) + "_v" +
-                  std::to_string(uint32_t(config.format)) +
-                  (config.prefetch ? "p" : "n") + ".bin");
+/// every read path needs its own scratch file.
+std::string ConfigPath(const char* base, bool prefetch) {
+  return TempPath(std::string(base) + "_v3" + (prefetch ? "p" : "n") +
+                  ".bin");
 }
 
-std::string ConfigName(const testing::TestParamInfo<ReadConfig>& info) {
-  // Appended piecewise: "v" + std::string trips a false -Wrestrict in
-  // GCC 12's optimized builds.
-  std::string name = "v";
-  name += std::to_string(uint32_t(info.param.format));
-  name += "_mmap";
-  name += info.param.prefetch ? "_prefetch" : "_sync";
-  return name;
+/// The read path a case runs: v3 from its mapping, decoded
+/// synchronously or by the prefetch decoder.
+std::string ConfigName(const testing::TestParamInfo<bool>& info) {
+  return info.param ? "v3_mmap_prefetch" : "v3_mmap_sync";
 }
 
-class FormatMatrix : public testing::TestWithParam<ReadConfig> {};
+/// The parameter is StreamReadOptions::prefetch.
+class FormatMatrix : public testing::TestWithParam<bool> {};
 
 TEST_P(FormatMatrix, RoundTripsEveryOrdering) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   for (StreamOrder order :
        {StreamOrder::kRandom, StreamOrder::kSetMajor,
         StreamOrder::kElementMajor, StreamOrder::kRoundRobinSets,
         StreamOrder::kLargeSetsLast}) {
     EdgeStream stream = SmallStream(order);
-    std::string path =
-        ConfigPath(("matrix_" + StreamOrderName(order)).c_str(), config);
+    std::string path = ConfigPath(
+        ("matrix_" + StreamOrderName(order)).c_str(), options.prefetch);
     std::string error;
-    ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error))
+    ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
         << error;
 
     auto reader = OpenBatchEdgeReader(path, options, &error);
@@ -118,13 +104,13 @@ TEST_P(FormatMatrix, RoundTripsEveryOrdering) {
 }
 
 TEST_P(FormatMatrix, BatchesConcatenateToTheStream) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
-  std::string path = ConfigPath("batches", config);
+  std::string path = ConfigPath("batches", options.prefetch);
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error)) << error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -138,14 +124,14 @@ TEST_P(FormatMatrix, BatchesConcatenateToTheStream) {
 }
 
 TEST_P(FormatMatrix, SeeksLandExactly) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   ASSERT_GT(stream.size(), size_t{2} * 4096);
-  std::string path = ConfigPath("seek_matrix", config);
+  std::string path = ConfigPath("seek_matrix", options.prefetch);
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error)) << error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -165,13 +151,13 @@ TEST_P(FormatMatrix, SeeksLandExactly) {
 // A flipped payload bit must end the stream with ChecksumFailed() — the
 // intact chunks before the damage are served, nothing at or past it is.
 TEST_P(FormatMatrix, FlippedBitSurfacesAsChecksumFailure) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
-  std::string path = ConfigPath("flip_matrix", config);
+  std::string path = ConfigPath("flip_matrix", options.prefetch);
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error)) << error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
 
   // Aim mid-file: inside some middle chunk's header or payload.
   FlipByte(path, FileSize(path) / 2, 0x10);
@@ -192,13 +178,13 @@ TEST_P(FormatMatrix, FlippedBitSurfacesAsChecksumFailure) {
 // Chopping the file mid-chunk must replay the intact prefix and set
 // Truncated() — this also exercises the lost-index scan path.
 TEST_P(FormatMatrix, TruncationReplaysOnlyThePrefix) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
-  std::string path = ConfigPath("trunc_matrix", config);
+  std::string path = ConfigPath("trunc_matrix", options.prefetch);
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error)) << error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
   TruncateFile(path, FileSize(path) / 2);
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
@@ -216,14 +202,14 @@ TEST_P(FormatMatrix, TruncationReplaysOnlyThePrefix) {
 // Satellite: seeking past the surviving region of a truncated file must
 // report damage through the flags on the next read — never garbage.
 TEST_P(FormatMatrix, SeekPastTruncationReportsFlagsNotGarbage) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   ASSERT_GT(stream.size(), size_t{2} * 4096);
-  std::string path = ConfigPath("seek_trunc", config);
+  std::string path = ConfigPath("seek_trunc", options.prefetch);
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error)) << error;
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
+      << error;
   TruncateFile(path, FileSize(path) / 3);
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
@@ -240,9 +226,8 @@ TEST_P(FormatMatrix, SeekPastTruncationReportsFlagsNotGarbage) {
 // than hand the ids on. Each id is checked: a set at m, an element at
 // n, both far out.
 TEST_P(FormatMatrix, OutOfRangeIdsMarkTheChunkDamaged) {
-  const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.prefetch = config.prefetch;
+  options.prefetch = GetParam();
   for (const Edge outside : {Edge{16, 0}, Edge{0, 16}, Edge{5000, 5000}}) {
     EdgeStream stream;
     stream.meta = {16, 16, 64};
@@ -252,9 +237,9 @@ TEST_P(FormatMatrix, OutOfRangeIdsMarkTheChunkDamaged) {
         ("range_" + std::to_string(outside.set) + "_" +
          std::to_string(outside.element))
             .c_str(),
-        config);
+        options.prefetch);
     std::string error;
-    ASSERT_TRUE(WriteStreamFile(stream, path, config.format, &error))
+    ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error))
         << error;
 
     auto reader = OpenBatchEdgeReader(path, options, &error);
@@ -269,9 +254,7 @@ TEST_P(FormatMatrix, OutOfRangeIdsMarkTheChunkDamaged) {
 
 INSTANTIATE_TEST_SUITE_P(
     Formats, FormatMatrix,
-    testing::Values(ReadConfig{StreamFormat::kV3, true, false},
-                    ReadConfig{StreamFormat::kV3, true, true}),
-    ConfigName);
+    testing::Bool(), ConfigName);
 
 TEST(StreamFormatTest, V3IsSmallerThanV2OnTable1Workloads) {
   // The Table-1 grid streams planted m ≈ n² instances element-major
