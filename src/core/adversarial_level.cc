@@ -27,7 +27,12 @@ void AdversarialLevelAlgorithm::Begin(const StreamMetadata& meta) {
   alpha_ = std::max(params_.alpha, 2.0 * sqrt_n);
   log_keep_ = std::log1p(-1.0 / alpha_);
 
-  levels_.Assign(meta.num_sets);
+  // L is sized for the promotions a run expects — one per α uncovered
+  // edges, so at most N/α — so it seldom grows mid-stream. At most m/4
+  // entries: the table then starts no larger than the 2m-word dense
+  // array it replaced, and grows like any map if more sets promote.
+  levels_.Reset(size_t(std::min<double>(
+      meta.num_sets / 4, static_cast<double>(meta.stream_length) / alpha_)));
   first_set_.assign(meta.num_elements, kNoSet);
   certificate_.assign(meta.num_elements, kNoSet);
   covered_ = DynamicBitset(meta.num_elements);
@@ -69,6 +74,20 @@ void AdversarialLevelAlgorithm::MaybeInclude(SetId s, uint32_t level) {
   }
 }
 
+// Out of line: it runs about once per α uncovered edges, and inlined,
+// the map insert's probe and growth code cost the per-edge loop its
+// registers.
+__attribute__((noinline)) void AdversarialLevelAlgorithm::Promote(SetId s) {
+  auto [level, inserted] = levels_.Slot(s);
+  ++level;  // first promotion takes the fresh slot from 0 to 1
+  if (inserted) {
+    meter_.Add(levels_words_, 2);  // key + value
+    peak_promoted_ = std::max(peak_promoted_, levels_.Size());
+  }
+  MaybeInclude(s, level);
+  promote_gap_ = DrawPromoteGap();
+}
+
 inline void AdversarialLevelAlgorithm::ProcessEdgeImpl(const Edge& edge) {
   const SetId s = edge.set;
   const ElementId u = edge.element;
@@ -77,19 +96,8 @@ inline void AdversarialLevelAlgorithm::ProcessEdgeImpl(const Edge& edge) {
   // Lines 11-12: ignore edges to already covered elements.
   if (covered_.Test(u)) return;
 
-  // Lines 14-21: look up the level, promote with probability 1/α (the
-  // countdown reaching 0), and on promotion run the inclusion coin for
-  // the new level.
-  if (--promote_gap_ == 0) {
-    auto [level, inserted] = levels_.Slot(s);
-    ++level;  // first promotion takes the fresh slot from 0 to 1
-    if (inserted) {
-      meter_.Add(levels_words_, 2);  // key + value
-      peak_promoted_ = std::max(peak_promoted_, levels_.Size());
-    }
-    MaybeInclude(s, level);
-    promote_gap_ = DrawPromoteGap();
-  }
+  // Lines 14-21: promote with probability 1/α, the countdown reaching 0.
+  if (--promote_gap_ == 0) Promote(s);
 
   // Lines 22-24: if S is (now) in the solution it dominates u.
   if (in_solution_.Test(s)) {
@@ -205,7 +213,6 @@ bool AdversarialLevelAlgorithm::DecodeState(
   }
   rng_.SetState(rng_state);
   promote_gap_ = promote_gap;
-  levels_.Assign(meta.num_sets);
   for (const auto& [s, level] : levels) levels_.Slot(s).first = level;
   covered_ = std::move(covered);
   first_set_ = std::move(first_set);
@@ -221,13 +228,12 @@ bool AdversarialLevelAlgorithm::DecodeState(
 
 std::vector<size_t> AdversarialLevelAlgorithm::LevelHistogram() const {
   uint32_t max_level = 0;
-  levels_.ForEach([&](uint32_t, const uint32_t& level) {
+  levels_.ForEach([&](uint32_t, uint32_t level) {
     max_level = std::max(max_level, level);
   });
   std::vector<size_t> histogram(max_level + 1, 0);
   histogram[0] = meta_.num_sets - levels_.Size();
-  levels_.ForEach(
-      [&](uint32_t, const uint32_t& level) { ++histogram[level]; });
+  levels_.ForEach([&](uint32_t, uint32_t level) { ++histogram[level]; });
   return histogram;
 }
 

@@ -6,7 +6,7 @@
 
 #include "core/streaming_algorithm.h"
 #include "util/bitset.h"
-#include "util/epoch_array.h"
+#include "util/id_map.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -45,12 +45,12 @@ struct AdversarialLevelParams {
 ///
 /// The space win over KK: no per-set degree array — only the levels of
 /// promoted sets are stored, and (Theorem 4's analysis) only Õ(m·n/α²)
-/// sets are ever promoted. The in-memory representation of L is an
-/// epoch-stamped dense array (O(1) lookup per edge, O(1) clear), but
-/// the *state* — what EncodeState forwards and the meter charges — is
-/// still only the promoted entries, so the Theorem 4 space story is
-/// unchanged (util/memory_meter.h documents why container overhead is
-/// excluded from word accounting).
+/// sets are ever promoted. L is a flat id → level map (util/id_map.h)
+/// sized for the promotions a run expects, one per α uncovered edges,
+/// and touched only on a promotion, so the per-edge loop never reads
+/// it. What EncodeState forwards and the meter charges is exactly the
+/// promoted entries (util/memory_meter.h documents why container
+/// overhead is excluded from word accounting).
 class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
  public:
   explicit AdversarialLevelAlgorithm(uint64_t seed,
@@ -90,6 +90,9 @@ class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
 
  private:
   void MaybeInclude(SetId s, uint32_t level);
+  /// Lines 15-21: raise S's level in L (inserting it at level 1), run
+  /// the inclusion coin for the new level and draw the next gap.
+  void Promote(SetId s);
   inline void ProcessEdgeImpl(const Edge& edge);
   /// Uncovered-edge events up to and including the next promotion:
   /// Geometric(1/α) on {1, 2, ...}, saturated at kMaxPromoteGap.
@@ -105,7 +108,7 @@ class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
   /// event that takes it to 0 promotes. Part of the encoded state.
   uint64_t promote_gap_ = 1;
 
-  EpochArray<uint32_t> levels_;   // L: promoted sets only (dense rep)
+  IdMap levels_;                  // L: promoted sets only
   std::vector<SetId> first_set_;  // R(u)
   std::vector<SetId> certificate_;  // C(u)
   DynamicBitset covered_;         // U

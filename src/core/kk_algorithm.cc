@@ -22,7 +22,6 @@ void KkAlgorithm::Begin(const StreamMetadata& meta) {
   sqrt_n_ = std::max<uint32_t>(
       1, static_cast<uint32_t>(ISqrt(meta.num_elements)));
   uncovered_degree_.assign(meta.num_sets, 0);
-  next_threshold_.assign(meta.num_sets, sqrt_n_);
   first_set_.assign(meta.num_elements, kNoSet);
   certificate_.assign(meta.num_elements, kNoSet);
   covered_ = DynamicBitset(meta.num_elements);
@@ -65,17 +64,11 @@ inline void KkAlgorithm::ProcessEdgeImpl(const Edge& edge) {
 
   // u is uncovered and S is not in the solution: bump the
   // uncovered-degree and run the probabilistic inclusion rule at every
-  // level boundary i·√n. next_threshold_[s] tracks the next unreached
-  // boundary, so a boundary hit is one equality compare — no modulo.
-  // d == next_threshold_[s] exactly when d is a multiple of √n at or
-  // past √n, because d advances by 1 and the threshold by √n per hit.
-  // The d >= sqrt_n_ register compare short-circuits the threshold
-  // load: it is implied by equality (thresholds start at √n), and most
-  // sets never reach degree √n, so the common case touches only the
-  // degree counter.
+  // level boundary i·√n. Most sets never reach degree √n, so the
+  // register compare d >= sqrt_n_ settles the common case and the
+  // modulo runs only for sets at or past their first boundary.
   uint32_t d = ++uncovered_degree_[s];
-  if (d >= sqrt_n_ && d == next_threshold_[s]) {
-    next_threshold_[s] = d + sqrt_n_;
+  if (d >= sqrt_n_ && d % sqrt_n_ == 0) {
     MaybeInclude(s, d / sqrt_n_);
     if (in_solution_.Test(s)) {
       covered_.Set(u);
@@ -198,13 +191,6 @@ bool KkAlgorithm::DecodeState(const StreamMetadata& meta,
   }
   rng_.SetState(rng_state);
   uncovered_degree_ = std::move(degrees);
-  // Rebuild the derived next-threshold accelerators: the next unreached
-  // multiple of √n, exactly what the incremental rule would hold after
-  // replaying d(S) edges (consistent mod 2³² with the incremental path
-  // even if a counter wrapped).
-  for (SetId s = 0; s < meta.num_sets; ++s) {
-    next_threshold_[s] = (uncovered_degree_[s] / sqrt_n_ + 1) * sqrt_n_;
-  }
   covered_ = std::move(covered);
   first_set_ = std::move(first_set);
   certificate_ = std::move(certificate);

@@ -42,7 +42,10 @@ struct KkParams {
 /// bitsets (one indexed load per edge) rather than hash probes; the
 /// meter still charges the same per-item word costs as before, since
 /// the information carried is unchanged (see util/memory_meter.h on
-/// container overhead).
+/// container overhead). Per set the algorithm keeps only d(S) and the
+/// membership bit: the level-boundary test is d(S) mod √n, paid only
+/// once d(S) has reached √n, so DecodeState has no derived per-set
+/// state to rebuild.
 class KkAlgorithm : public StreamingSetCoverAlgorithm {
  public:
   explicit KkAlgorithm(uint64_t seed, KkParams params = {});
@@ -77,12 +80,6 @@ class KkAlgorithm : public StreamingSetCoverAlgorithm {
   uint32_t sqrt_n_ = 1;
 
   std::vector<uint32_t> uncovered_degree_;  // d(S), m words
-  // next_threshold_[s] is the next level boundary i·√n that d(S) has
-  // not reached yet, so the hot path is a single equality compare
-  // instead of a modulo. Derived accelerator state (a pure function of
-  // uncovered_degree_ and √n, rebuilt in DecodeState), hence unmetered
-  // — the same rationale as the epoch stamps in util/epoch_array.h.
-  std::vector<uint32_t> next_threshold_;
   std::vector<SetId> first_set_;            // R(u), n words
   std::vector<SetId> certificate_;          // C(u), n words
   DynamicBitset covered_;                   // U, n bits

@@ -291,6 +291,22 @@ RunReport RunShard(const RunConfig& config, uint32_t workers, uint32_t shard,
   return report;
 }
 
+/// The calling thread's shard pool, at least `workers` lanes wide (the
+/// caller is one lane). It is built at the thread's first W > 1 run,
+/// rebuilt only when a run asks for more shards, and joined when the
+/// thread exits, so back-to-back jobs start no threads. Each thread
+/// owns its pool, and a shard never calls Execute(), so the pool runs
+/// one job at a time, as RunIndexed requires. The workers keep the CPU
+/// mask the calling thread had when they were created.
+ThreadPool& ShardPool(uint32_t workers) {
+  thread_local std::unique_ptr<ThreadPool> pool;
+  if (pool == nullptr || pool->ThreadCount() + 1 < workers) {
+    pool.reset();  // join the narrower pool's workers first
+    pool = std::make_unique<ThreadPool>(workers);
+  }
+  return *pool;
+}
+
 }  // namespace
 
 RunReport Drive(const DriveOptions& options,
@@ -361,8 +377,7 @@ RunReport Execute(const RunConfig& config) {
     // Shards share nothing but the read-only source bytes and the
     // mutex-guarded aggregate checkpoint, so results do not depend on
     // scheduling.
-    ThreadPool pool(workers);
-    pool.RunIndexed(workers, run_shard);
+    ShardPool(workers).RunIndexed(workers, run_shard);
   }
   internal::AggregateShardReports(&report, shard_reports, workers);
 

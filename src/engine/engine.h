@@ -36,9 +36,12 @@ namespace engine {
 /// Drive() is the one loop that pulls them: every run, checkpointed,
 /// faulty, scheduled or killed or not, takes the same loop. At W = 1
 /// there is no filter, no thread pool and no merge: the one pipeline
-/// runs on the calling thread. BestOfRuns, the bench harnesses and the
-/// CLI are all thin clients of this seam (docs/architecture.md has the
-/// layer diagram); the only drive loop outside src/engine/ is the
+/// runs on the calling thread. At W > 1 the shards run on the calling
+/// thread's long-lived pool, whose threads outlive the job (so
+/// back-to-back jobs start none) and keep the CPU mask they were
+/// created with. BestOfRuns, the bench harnesses and the CLI are all
+/// thin clients of this seam (docs/architecture.md has the layer
+/// diagram); the only drive loop outside src/engine/ is the
 /// header-inline RunStream in core/streaming_algorithm.h, kept as the
 /// reference primitive that tests/engine_equivalence_test.cc pins the
 /// engine against.

@@ -1,7 +1,6 @@
 #include "engine/shards.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <type_traits>
 #include <utility>
@@ -9,6 +8,7 @@
 #include "comm/deterministic_protocol.h"
 #include "comm/protocol.h"
 #include "engine/pump.h"
+#include "util/id_map.h"
 #include "util/math.h"
 #include "util/simd.h"
 
@@ -161,41 +161,19 @@ CertificateMerge MergeCertificates(
   // first appearance (party-major, elements ascending) and owned by the
   // first party that certified them, so a set two parties certify
   // (which the split never produces) is one candidate holding both
-  // parties' elements. One flat open-addressing index (linear probing, load
-  // ≤ 1/2) maps set -> candidate, and the (candidate, element) edges go
-  // straight to FromEdges. A certificate names only sets of its party's
-  // cover, so the index starts sized for Σ|cover| candidates; it still
-  // doubles whenever the load would pass 1/2.
+  // parties' elements. One flat set -> candidate index (util/id_map.h)
+  // numbers them, and the (candidate, element) edges go straight to
+  // FromEdges. A certificate names only sets of its party's cover, so
+  // the index starts sized for Σ|cover| candidates.
   size_t certified = 0;
   size_t cover_sets = 0;
   for (const CoverSolution* local : locals) {
     cover_sets += local->cover.size();
     for (SetId s : local->certificate) certified += s != kNoSet ? 1 : 0;
   }
-  struct Slot {
-    SetId set;  // kNoSet marks an empty slot
-    uint32_t candidate;
-  };
-  int bits = std::bit_width(std::min(cover_sets, certified)) + 1;
-  std::vector<Slot> index;
+  IdMap index(std::min(cover_sets, certified));
   std::vector<SetId> candidate_set;
   std::vector<uint32_t> candidate_owner;
-  auto slot_of = [&](SetId s) {
-    // Fibonacci hashing: the top bits of s·2^64/φ spread the shared
-    // low bits of a party's set ids (s % W) across the table.
-    size_t at = size_t((uint64_t{s} * 0x9E3779B97F4A7C15ull) >> (64 - bits));
-    while (index[at].set != s && index[at].set != kNoSet) {
-      at = (at + 1) & (index.size() - 1);
-    }
-    return at;
-  };
-  auto rebuild = [&] {
-    index.assign(size_t{1} << bits, Slot{kNoSet, 0});
-    for (uint32_t c = 0; c < candidate_set.size(); ++c) {
-      index[slot_of(candidate_set[c])] = {candidate_set[c], c};
-    }
-  };
-  rebuild();
   std::vector<Edge> edges;
   edges.reserve(certified);
   for (uint32_t w = 0; w < locals.size(); ++w) {
@@ -203,18 +181,13 @@ CertificateMerge MergeCertificates(
     for (ElementId u = 0; u < certificate.size(); ++u) {
       const SetId s = certificate[u];
       if (s == kNoSet) continue;
-      size_t at = slot_of(s);
-      if (index[at].set == kNoSet) {
-        if (2 * (candidate_set.size() + 1) > index.size()) {
-          ++bits;
-          rebuild();
-          at = slot_of(s);
-        }
-        index[at] = {s, uint32_t(candidate_set.size())};
+      auto [candidate, inserted] = index.Slot(s);
+      if (inserted) {
+        candidate = uint32_t(candidate_set.size());
         candidate_set.push_back(s);
         candidate_owner.push_back(w);
       }
-      edges.push_back({index[at].candidate, u});
+      edges.push_back({candidate, u});
     }
   }
 

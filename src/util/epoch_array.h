@@ -73,8 +73,8 @@ class EpochArray {
   size_t UniverseSize() const { return stamps_.size(); }
 
   /// Live (id, value) pairs in ascending id order — the canonical
-  /// ordering StateEncoder::PutMap produces, so dense state encodes
-  /// bit-identically to the hash map it replaced.
+  /// ordering StateEncoder::PutSortedPairs expects, so dense state
+  /// encodes bit-identically to the hash map it replaced.
   std::vector<std::pair<uint32_t, uint32_t>> SortedEntries() const {
     std::vector<std::pair<uint32_t, uint32_t>> entries;
     entries.reserve(live_);
@@ -142,8 +142,8 @@ class EpochSet {
   size_t Size() const { return live_; }
   size_t UniverseSize() const { return stamps_.size(); }
 
-  /// Live ids ascending — matches StateEncoder::PutSet's canonical
-  /// sorted dump.
+  /// Live ids ascending — the canonical ordering
+  /// StateEncoder::PutSortedIds expects.
   std::vector<uint32_t> SortedIds() const {
     std::vector<uint32_t> ids;
     ids.reserve(live_);

@@ -1,7 +1,5 @@
 #include "util/serialize.h"
 
-#include <algorithm>
-
 namespace setcover {
 
 void StateEncoder::PutU32Vector(const std::vector<uint32_t>& values) {
@@ -40,20 +38,6 @@ void StateEncoder::PutBitset(const DynamicBitset& bits) {
   const size_t word_count = bits.WordCount();
   const uint64_t* words = bits.WordsData();
   words_.insert(words_.end(), words, words + word_count);
-}
-
-void StateEncoder::PutSet(const std::unordered_set<uint32_t>& values) {
-  std::vector<uint32_t> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  PutU32Vector(sorted);
-}
-
-void StateEncoder::PutMap(
-    const std::unordered_map<uint32_t, uint32_t>& values) {
-  std::vector<std::pair<uint32_t, uint32_t>> sorted(values.begin(),
-                                                    values.end());
-  std::sort(sorted.begin(), sorted.end());
-  PutSortedPairs(sorted);
 }
 
 void StateEncoder::PutSortedIds(const std::vector<uint32_t>& sorted_ids) {

@@ -18,7 +18,7 @@ namespace setcover {
 /// 64-bit words: a length prefix followed by payload; bit vectors are
 /// packed 64 per word.
 ///
-/// The encodings are *canonical* (hash containers are sorted first), so
+/// The encodings are *canonical* (sets and maps travel sorted), so
 /// equal states produce equal messages — the tests rely on this.
 class StateEncoder {
  public:
@@ -37,18 +37,14 @@ class StateEncoder {
   /// covered/marked/in-sample indicators).
   void PutBitset(const DynamicBitset& bits);
 
-  /// Length-prefixed sorted dump of a hash set.
-  void PutSet(const std::unordered_set<uint32_t>& values);
-
-  /// Length-prefixed sorted dump of a hash map (key, value pairs).
-  void PutMap(const std::unordered_map<uint32_t, uint32_t>& values);
-
-  /// Wire-identical to PutSet, for callers (the dense epoch containers)
-  /// that already hold their ids in ascending order.
+  /// An id set, as its ids in ascending order: the PutU32Vector layout
+  /// (GetSet reads it back). The caller sorts, so equal sets encode to
+  /// equal words.
   void PutSortedIds(const std::vector<uint32_t>& sorted_ids);
 
-  /// Wire-identical to PutMap, for callers that already hold their
-  /// (key, value) pairs in ascending key order.
+  /// An id map, as its (key, value) pairs in ascending key order: a
+  /// count word, then one word per pair, key in the low half (GetMap
+  /// reads it back).
   void PutSortedPairs(
       const std::vector<std::pair<uint32_t, uint32_t>>& sorted_pairs);
 

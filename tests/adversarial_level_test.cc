@@ -196,6 +196,39 @@ TEST(AdversarialLevelTest, PromotionCountdownTravelsInTheState) {
   EXPECT_FALSE(refused.DecodeState(stream.meta, zero_gap));
 }
 
+// L travels sorted whatever order the promotions inserted it in. Here
+// every edge names a new set, in descending id order, so L is built
+// from the top id down; its state must decode and re-encode to the
+// same words.
+TEST(AdversarialLevelTest, LevelsInsertedInDescendingIdOrderRoundTrip) {
+  constexpr uint32_t n = 40000, m = 40000;
+  const StreamMetadata meta{m, n, n};
+  AdversarialLevelAlgorithm original(77);
+  original.Begin(meta);
+  for (ElementId u = 0; u < n; ++u) original.ProcessEdge({m - 1 - u, u});
+  StateEncoder encoder;
+  original.EncodeState(&encoder);
+  const std::vector<uint64_t>& words = encoder.Words();
+  // L follows the RNG words and the countdown: a count word, then one
+  // (set | level << 32) word per promoted set, sets ascending. About
+  // n/α = 100 sets are promoted, each once.
+  const uint64_t promoted = words[kPromoteGapWord + 1];
+  ASSERT_GE(promoted, 20u);
+  EXPECT_EQ(promoted, original.PeakPromotedSets());
+  for (uint64_t i = 1; i < promoted; ++i) {
+    const size_t pair = kPromoteGapWord + 2 + i;
+    EXPECT_LT(uint32_t(words[pair - 1]), uint32_t(words[pair])) << i;
+    EXPECT_EQ(words[pair] >> 32, 1u) << i;
+  }
+
+  AdversarialLevelAlgorithm revived(1);
+  ASSERT_TRUE(revived.DecodeState(meta, words));
+  StateEncoder again;
+  revived.EncodeState(&again);
+  EXPECT_EQ(again.Words(), words);
+  EXPECT_EQ(revived.LevelHistogram(), original.LevelHistogram());
+}
+
 TEST(AdversarialLevelTest, HugeAlphaSaturatesThePromotionCountdown) {
   // 1/α too small for a finite gap: the draw saturates at
   // kMaxPromoteGap instead of overflowing, and nothing is promoted.

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -52,19 +52,21 @@ TEST(EpochArray, ClearAllEmptiesAndSlotsResetAfterClear) {
   EXPECT_EQ(value, 0u);
 }
 
+// The map wire format: SortedEntries feeds PutSortedPairs the same
+// words as the entries sorted by hand, whatever order they went in.
 TEST(EpochArray, SortedEntriesMatchesPutMapWireFormat) {
   EpochArray<uint32_t> array;
   array.Assign(100);
-  std::unordered_map<uint32_t, uint32_t> mirror;
+  std::map<uint32_t, uint32_t> mirror;
   for (uint32_t id : {97u, 4u, 31u, 0u, 55u}) {
     uint32_t v = id * 3 + 1;
     array.Slot(id).first = v;
     mirror[id] = v;
   }
-  StateEncoder dense, hashed;
+  StateEncoder dense, sorted;
   dense.PutSortedPairs(array.SortedEntries());
-  hashed.PutMap(mirror);
-  EXPECT_EQ(dense.Words(), hashed.Words());
+  sorted.PutSortedPairs({mirror.begin(), mirror.end()});
+  EXPECT_EQ(dense.Words(), sorted.Words());
   EXPECT_EQ(dense.SizeWords(), EncodedMapWords(array.Size()));
 }
 
@@ -114,18 +116,20 @@ TEST(EpochSet, InsertContainsClear) {
   EXPECT_TRUE(set.Insert(7));
 }
 
+// The set wire format: SortedIds feeds PutSortedIds the same words as
+// the ids sorted by hand, whatever order they went in.
 TEST(EpochSet, SortedIdsMatchesPutSetWireFormat) {
   EpochSet set;
   set.Assign(64);
-  std::unordered_set<uint32_t> mirror;
+  std::set<uint32_t> mirror;
   for (uint32_t id : {63u, 0u, 12u, 5u}) {
     set.Insert(id);
     mirror.insert(id);
   }
-  StateEncoder dense, hashed;
+  StateEncoder dense, sorted;
   dense.PutSortedIds(set.SortedIds());
-  hashed.PutSet(mirror);
-  EXPECT_EQ(dense.Words(), hashed.Words());
+  sorted.PutSortedIds({mirror.begin(), mirror.end()});
+  EXPECT_EQ(dense.Words(), sorted.Words());
   EXPECT_EQ(dense.SizeWords(), EncodedSetWords(set.Size()));
 }
 

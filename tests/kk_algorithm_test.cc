@@ -1,6 +1,8 @@
 #include "core/kk_algorithm.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,62 @@ TEST(KkAlgorithmTest, DuplicateEdgesAreHarmless) {
   auto sol = RunStream(algorithm, stream);
   auto check = ValidateSolution(inst, sol);
   EXPECT_TRUE(check.ok) << check.error;
+}
+
+std::vector<uint64_t> EncodedState(const KkAlgorithm& algorithm) {
+  StateEncoder encoder;
+  algorithm.EncodeState(&encoder);
+  return encoder.Words();
+}
+
+// DecodeState resumes a set just before, exactly at and just past a
+// level boundary i·√n: the resumed run flips the uninterrupted run's
+// coins (the RNG words are part of the state), builds its cover and
+// ends in its encoded state. Only d(S) travels, so nothing derived
+// from it may go stale across the cut.
+TEST(KkAlgorithmTest, ResumesOnALevelBoundary) {
+  // One set holding the whole universe: until it is included, each of
+  // its edges raises d(S) by one, and the level-i coin lands heads with
+  // probability 2^i·√n/m = 2^i/16.
+  constexpr uint32_t n = 256, m = 256, kSet = 3, kSqrtN = 16;
+  EdgeStream stream;
+  stream.meta = {m, n, n};
+  for (ElementId u = 0; u < n; ++u) stream.edges.push_back({kSet, u});
+  // d(kSet) in the encoded degree vector: after the four RNG words and
+  // the vector's length word, two degrees per word.
+  auto degree = [](const std::vector<uint64_t>& words) {
+    return uint32_t(words[5 + kSet / 2] >> (32 * (kSet % 2)));
+  };
+  size_t resumed_runs = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    KkAlgorithm reference(seed);
+    reference.Begin(stream.meta);
+    for (const Edge& edge : stream.edges) reference.ProcessEdge(edge);
+    const std::vector<uint64_t> final_state = EncodedState(reference);
+    const CoverSolution expected = reference.Finalize();
+    for (uint32_t cut : {kSqrtN - 1, kSqrtN, 2 * kSqrtN - 1}) {
+      const std::string context =
+          "seed " + std::to_string(seed) + " cut " + std::to_string(cut);
+      KkAlgorithm head(seed);
+      head.Begin(stream.meta);
+      for (uint32_t i = 0; i < cut; ++i) head.ProcessEdge(stream.edges[i]);
+      const std::vector<uint64_t> words = EncodedState(head);
+      if (degree(words) != cut) continue;  // included before the cut
+      ++resumed_runs;
+      KkAlgorithm tail(seed + 1000);
+      ASSERT_TRUE(tail.DecodeState(stream.meta, words)) << context;
+      for (uint32_t i = cut; i < n; ++i) tail.ProcessEdge(stream.edges[i]);
+      EXPECT_EQ(EncodedState(tail), final_state) << context;
+      EXPECT_EQ(tail.SampledCoverSize(), reference.SampledCoverSize())
+          << context;
+      const CoverSolution actual = tail.Finalize();
+      EXPECT_EQ(actual.cover, expected.cover) << context;
+      EXPECT_EQ(actual.certificate, expected.certificate) << context;
+    }
+  }
+  // Level 1's coin (p = 1/16) includes the set before the two later
+  // cuts in about one seed of 16; every other run resumes.
+  EXPECT_GE(resumed_runs, 40u);
 }
 
 TEST(KkAlgorithmTest, ReusableAcrossBeginCalls) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "core/registry.h"
 #include "instance/generators.h"
 #include "stream/orderings.h"
@@ -47,21 +53,34 @@ TEST(SerializeTest, BoolVectorPacksBits) {
 }
 
 TEST(SerializeTest, SetAndMapAreCanonical) {
-  std::unordered_set<uint32_t> a = {5, 1, 9};
-  std::unordered_set<uint32_t> b = {9, 5, 1};
+  // Sets and maps travel as their sorted contents, so one set encodes
+  // to one message whatever order its ids were gathered in.
+  std::vector<uint32_t> a = {5, 1, 9};
+  std::vector<uint32_t> b = {9, 5, 1};
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
   StateEncoder ea, eb;
-  ea.PutSet(a);
-  eb.PutSet(b);
+  ea.PutSortedIds(a);
+  eb.PutSortedIds(b);
   EXPECT_EQ(ea.Words(), eb.Words());
+  // The id count, then the ids two per word.
+  EXPECT_EQ(ea.Words(),
+            (std::vector<uint64_t>{3, 1 | (uint64_t{5} << 32), 9}));
 
-  std::unordered_map<uint32_t, uint32_t> ma = {{2, 20}, {1, 10}};
-  std::unordered_map<uint32_t, uint32_t> mb = {{1, 10}, {2, 20}};
-  StateEncoder ema, emb;
-  ema.PutMap(ma);
-  emb.PutMap(mb);
-  EXPECT_EQ(ema.Words(), emb.Words());
-  // 1 length + 2 pair words.
-  EXPECT_EQ(ema.SizeWords(), 3u);
+  StateEncoder em;
+  em.PutSortedPairs({{1, 10}, {2, 20}});
+  // 1 length + 2 pair words, key in the low half.
+  EXPECT_EQ(em.Words(),
+            (std::vector<uint64_t>{2, 1 | (uint64_t{10} << 32),
+                                   2 | (uint64_t{20} << 32)}));
+
+  StateEncoder both = ea;
+  both.PutSortedPairs({{1, 10}, {2, 20}});
+  StateDecoder decoder(both.Words());
+  EXPECT_EQ(decoder.GetSet(), (std::unordered_set<uint32_t>{1, 5, 9}));
+  EXPECT_EQ(decoder.GetMap(),
+            (std::unordered_map<uint32_t, uint32_t>{{1, 10}, {2, 20}}));
+  EXPECT_TRUE(decoder.Done());
 }
 
 TEST(SerializeTest, AlgorithmsEncodeDeterministically) {
@@ -173,15 +192,15 @@ TEST(SerializeTest, EncodedSizeHelpersMatchTheEncoder) {
     EXPECT_EQ(bools.SizeWords(), EncodedBoolVectorWords(count)) << count;
 
     StateEncoder set;
-    std::unordered_set<uint32_t> s;
-    for (size_t i = 0; i < count; ++i) s.insert(uint32_t(i));
-    set.PutSet(s);
+    std::vector<uint32_t> ids(count);
+    for (size_t i = 0; i < count; ++i) ids[i] = uint32_t(i);
+    set.PutSortedIds(ids);
     EXPECT_EQ(set.SizeWords(), EncodedSetWords(count)) << count;
 
     StateEncoder map;
-    std::unordered_map<uint32_t, uint32_t> m;
-    for (size_t i = 0; i < count; ++i) m[uint32_t(i)] = uint32_t(i);
-    map.PutMap(m);
+    std::vector<std::pair<uint32_t, uint32_t>> pairs(count);
+    for (size_t i = 0; i < count; ++i) pairs[i] = {uint32_t(i), uint32_t(i)};
+    map.PutSortedPairs(pairs);
     EXPECT_EQ(map.SizeWords(), EncodedMapWords(count)) << count;
   }
 }

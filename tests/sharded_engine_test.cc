@@ -8,20 +8,24 @@
 // through the ONE checkpoint file reproduces the unkilled run
 // byte-for-byte. Plus: file/in-memory agreement, the fast loops against
 // the supervised path under every owner of the set-modulo split, the
-// W guard on resume, the certificate merge against its reference
-// candidate build, and the W-slot checkpoint format itself.
+// W guard on resume, shard threads that outlive the job, the
+// certificate merge against its reference candidate build, and the
+// W-slot checkpoint format itself.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -345,6 +349,83 @@ TEST(ShardedEngineTest, ResumeAtDifferentShardCountIsRefused) {
         << context << ": " << refused.error;
   }
   std::remove(path.c_str());
+}
+
+// Threads of this process: the entries of /proc/self/task.
+size_t TaskCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// A joined thread can stay listed for a moment after pthread_join
+// returns, so counts that must drop are polled (up to 5 s).
+size_t TaskCountSettlingAt(size_t expected) {
+  size_t count = TaskCount();
+  for (int poll = 0; poll < 500 && count != expected; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = TaskCount();
+  }
+  return count;
+}
+
+// A W > 1 job runs its shards on the calling thread's pool, which
+// outlives the job: back-to-back jobs start no threads, a wider job
+// rebuilds the pool once, and another thread gets a pool of its own
+// that goes away with it. The scenario runs on a fresh thread, so the
+// pool it watches starts empty whatever ran before in this process.
+TEST(ShardedEngineTest, BackToBackJobsReuseShardThreads) {
+  Fixture fixture = MakePlantedFixture(301);
+  const engine::RunConfig w4 = BaseConfig("kk", fixture.stream, 4);
+  const engine::RunConfig w7 = BaseConfig("kk", fixture.stream, 7);
+  // A sanitizer runtime may start a helper thread at the process's
+  // first thread start; let that happen before counting.
+  const size_t initial = TaskCount();
+  std::thread([] {}).join();
+  const size_t before = TaskCountSettlingAt(initial);
+  std::thread owner([&] {
+    const size_t base = TaskCount();  // this thread counted in
+    const engine::RunReport first4 = engine::Execute(w4);
+    ASSERT_TRUE(first4.completed) << first4.error;
+    // Three workers; the calling thread is the fourth lane.
+    EXPECT_EQ(TaskCount(), base + 3);
+    for (int job = 1; job < 20; ++job) {
+      const engine::RunReport report = engine::Execute(w4);
+      ASSERT_TRUE(report.completed) << report.error;
+      ExpectSameSolution(report, first4, "W=4 job " + std::to_string(job));
+      EXPECT_EQ(TaskCount(), base + 3) << "job " << job;
+    }
+
+    // A W = 7 job grows the pool once; narrower jobs keep it.
+    const engine::RunReport first7 = engine::Execute(w7);
+    ASSERT_TRUE(first7.completed) << first7.error;
+    EXPECT_EQ(TaskCountSettlingAt(base + 6), base + 6);
+    for (const engine::RunConfig* config : {&w7, &w4, &w7}) {
+      const engine::RunReport report = engine::Execute(*config);
+      ASSERT_TRUE(report.completed) << report.error;
+      ExpectSameSolution(report, config == &w7 ? first7 : first4,
+                         "after the W=7 rebuild");
+      EXPECT_EQ(TaskCount(), base + 6);
+    }
+
+    // A second thread's jobs run on that thread's own pool.
+    std::thread second([&] {
+      for (int job = 0; job < 5; ++job) {
+        const engine::RunReport report = engine::Execute(w4);
+        ASSERT_TRUE(report.completed) << report.error;
+        ExpectSameSolution(report, first4,
+                           "second thread, job " + std::to_string(job));
+        EXPECT_EQ(TaskCount(), base + 6 + 1 + 3) << "job " << job;
+      }
+    });
+    second.join();
+    EXPECT_EQ(TaskCountSettlingAt(base + 6), base + 6);
+  });
+  owner.join();
+  EXPECT_EQ(TaskCountSettlingAt(before), before);
 }
 
 // Non-shardable algorithms are rejected with the registry's actionable
